@@ -25,7 +25,6 @@ from .matrix import (
     build_matrix,
     check_partition_row_monotonicity,
     has_negative_crossing_violation,
-    row_nonneg_counts,
     sign_pattern,
 )
 from .ndet import (
@@ -41,13 +40,11 @@ from .ndet import (
 from .predicates import (
     Classification,
     Outcome,
-    certificate_agrees_with_condition,
     classify,
     find_matching_certificate,
     format_certificate,
     greedy_h0_term,
     necessary_condition_holds,
-    no_all_negative_row,
     nocancel_conditions_hold,
 )
 from .symfunc import (

@@ -2,8 +2,8 @@
 
 Exit codes: 0 ok, 2 parse/argument error, 3 length mismatch, 4 output
 I/O failure, 5 identity mismatch.  The environment variable
-IMMACULATE_DIM_CAP overrides the dimension caps (default 10 for expand
-and classify, 7 for enumerate).
+IMMACULATE_DIM_CAP, an integer of at least 1, overrides the dimension
+caps (default 10 for expand and classify, 7 for enumerate).
 """
 
 from __future__ import annotations
@@ -45,9 +45,12 @@ def _env_cap(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"IMMACULATE_DIM_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"IMMACULATE_DIM_CAP must be at least 1, got {cap}")
+    return cap
 
 
 def _cmd_expand(args) -> int:
@@ -131,7 +134,14 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"--n must be within 1..{ENUMERATE_WEIGHT_CAP}")
     if not 1 <= args.length <= length_cap:
         raise ValueError(f"--len must be within 1..{length_cap}")
-    records = list(
+    counts = dict.fromkeys((outcome.value for outcome in Outcome), 0)
+
+    def counted(records):
+        for rec in records:
+            counts[rec["class"]] += 1
+            yield rec
+
+    records = counted(
         census_records(args.n, args.length, args.partitions_only, length_cap, args.timings)
     )
     if args.out is not None:
@@ -146,11 +156,8 @@ def _cmd_enumerate(args) -> int:
     else:
         _write_census(records, sys.stdout, args.format)
         summary_stream = sys.stderr
-    counts = {outcome: 0 for outcome in Outcome}
-    for rec in records:
-        counts[Outcome(rec["class"])] += 1
-    summary = f"total={len(records)} " + " ".join(
-        f"{outcome.value}={counts[outcome]}" for outcome in Outcome
+    summary = f"total={sum(counts.values())} " + " ".join(
+        f"{name}={count}" for name, count in counts.items()
     )
     print(summary, file=summary_stream)
     return EXIT_OK

@@ -35,8 +35,8 @@ class SubscriptMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
-def build_matrix(alpha, beta) -> SubscriptMatrix:
-    """Associated matrix of the pair; rejects unequal lengths.
+def validate_pair(alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair as integer tuples; rejects unequal lengths and bad parts.
 
     ``alpha`` must have positive parts; ``beta`` may be weak (zero parts
     embed non-skew indices as a skew by a zero sequence).
@@ -51,6 +51,12 @@ def build_matrix(alpha, beta) -> SubscriptMatrix:
         raise ValueError(f"alpha must be a composition (positive parts): {alpha!r}")
     if any(b < 0 for b in beta):
         raise ValueError(f"beta parts must be nonnegative: {beta!r}")
+    return alpha, beta
+
+
+def build_matrix(alpha, beta) -> SubscriptMatrix:
+    """Associated matrix of the pair, validated by :func:`validate_pair`."""
+    alpha, beta = validate_pair(alpha, beta)
     ahat, bhat = hat(alpha), hat(beta)
     entries = tuple(tuple(a - b for b in bhat) for a in ahat)
     return SubscriptMatrix(alpha, beta, entries)
@@ -83,11 +89,6 @@ def has_negative_crossing_violation(pattern) -> bool:
             if a and (not b) and (not c) and d:
                 return True
     return False
-
-
-def row_nonneg_counts(m: SubscriptMatrix) -> tuple[int, ...]:
-    """Number of nonnegative subscripts in each row."""
-    return tuple(sum(1 for e in row if e >= 0) for row in m.entries)
 
 
 def check_partition_row_monotonicity(m: SubscriptMatrix) -> bool:

@@ -1,31 +1,40 @@
 """Nonzeroness classification for skew expansions.
 
-Three independent tests drive the classification of a pair (alpha, beta):
+Row i of the subscript matrix of (alpha, beta) is nonnegative exactly on
+the columns {j : bhat_j <= ahat_i}, where ahat and bhat are the staircase
+shifts of alpha and beta.  These column sets are nested thresholds, so
+the nonnegative entries form a Ferrers board (up to reordering rows and
+columns), and the tests that decide a pair before cancellation read only
+the two hat sequences:
 
-* a counting condition on staircase-shifted entries that is necessary for
-  any single determinant term to survive (and whose failure proves every
-  term vanishes by pigeonhole);
-* a complete row-to-column matching over nonnegative subscripts, whose
-  existence is equivalent to the counting condition (Hall's condition on
-  the bipartite row/column graph) and which certifies a surviving term;
-* for skews by partitions, a pair of conditions under which a greedily
-  built term captures every zero subscript and provably survives all
-  cancellation, so the whole expansion is nonzero.
+* on a Ferrers board, Hall's condition for a row-to-column matching over
+  nonnegative subscripts is a single counting test: the ascending row
+  counts satisfy c_(k) >= k.  Its failure proves every determinant term
+  vanishes (pigeonhole); otherwise an explicit matching certifies a
+  surviving term;
+* for skews by partitions, the no-cancellation conditions are that
+  counting test plus "no value of ahat occurs twice and also lies in
+  bhat": two rows are identical iff their ahat values are equal, and a
+  row holds a zero iff its ahat value is in bhat.  A greedily built term
+  then captures every zero subscript and survives all cancellation, so
+  the whole expansion is nonzero.
 
-All predicates work on hat-sequence arithmetic only, so they accept weak
-skewing sequences (trailing zeros) even though the classical statements
-concern positive parts.
+:func:`classify` therefore builds a matrix only for pairs that pass the
+counting test.  Skewing sequences may be weak (trailing zeros) even
+though the classical statements concern positive parts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 
 from .compositions import hat, is_partition, strip_trailing_zeros
-from .errors import GreedyPreconditionError, LengthMismatchError
+from .errors import GreedyPreconditionError
 from .hwords import HExpansion, normalize_word
-from .matrix import SubscriptMatrix, build_matrix, row_nonneg_counts
+from .matrix import SubscriptMatrix, build_matrix, validate_pair
 from .ndet import DEFAULT_DIM_CAP, SignedSelection, ndet_laplace
 
 
@@ -58,47 +67,37 @@ def format_certificate(certificate) -> str:
 
 
 def _hat_pair(alpha, beta):
-    alpha, beta = tuple(alpha), tuple(beta)
-    if len(alpha) != len(beta):
-        raise LengthMismatchError(
-            f"alpha has {len(alpha)} parts but beta has {len(beta)}"
-        )
+    alpha, beta = validate_pair(alpha, beta)
     return hat(alpha), hat(beta)
 
 
-def _negative_row_counts(alpha, beta) -> list[int]:
-    # count of j with beta_hat[j] > alpha_hat[i], i.e. negatives in row i
-    ahat, bhat = _hat_pair(alpha, beta)
-    return [sum(1 for b in bhat if b > a) for a in ahat]
+def _row_nonneg_counts(ahat, bhat) -> list[int]:
+    # row i is nonnegative exactly on the columns with bhat_j <= ahat_i
+    ordered = sorted(bhat)
+    return [bisect_right(ordered, a) for a in ahat]
+
+
+def _sorted_counts_admissible(counts) -> bool:
+    # ascending k-th smallest count must reach k: the worst k-subset of
+    # rows is the k smallest counts, and it needs one row with >= k
+    return all(c >= k for k, c in enumerate(sorted(counts), start=1))
+
+
+def _no_repeated_zero_row(ahat, bhat) -> bool:
+    # a repeated ahat value is a repeated row; it holds a zero iff in bhat
+    return set(bhat).isdisjoint(a for a, n in Counter(ahat).items() if n > 1)
 
 
 def necessary_condition_holds(alpha, beta) -> bool:
     """Counting condition necessary for a surviving determinant term.
 
-    For every k, the rows whose staircase entry falls below at least
-    l-k+1 entries of the skewing staircase must number at most k-1.
-    If some k rows each carry at least l-k+1 negative subscripts, those
-    rows squeeze all their nonnegative entries into at most k-1 shared
-    columns and pigeonhole kills every term.
+    Every k rows must include one with at least k nonnegative subscripts,
+    which on these threshold rows means the k-th smallest row count is at
+    least k.  If it fails, k rows squeeze all their nonnegative entries
+    into fewer than k columns and pigeonhole kills every term; if it
+    holds, Hall's theorem gives a matching of nonnegative entries.
     """
-    neg = _negative_row_counts(alpha, beta)
-    l = len(neg)
-    for k in range(1, l + 1):
-        if sum(1 for c in neg if c >= l - k + 1) > k - 1:
-            return False
-    return True
-
-
-def no_all_negative_row(alpha, beta) -> bool:
-    """True iff every row of the associated matrix keeps a nonnegative entry.
-
-    Equivalently: every staircase entry of alpha is >= some staircase
-    entry of beta.  This is exactly the k=1 case of
-    :func:`necessary_condition_holds`.
-    """
-    ahat, bhat = _hat_pair(alpha, beta)
-    floor = min(bhat)
-    return all(a >= floor for a in ahat)
+    return _sorted_counts_admissible(_row_nonneg_counts(*_hat_pair(alpha, beta)))
 
 
 def find_matching_certificate(m: SubscriptMatrix) -> tuple[int, ...] | None:
@@ -137,38 +136,22 @@ def find_matching_certificate(m: SubscriptMatrix) -> tuple[int, ...] | None:
     return tuple(c + 1 for c in col_of_row)
 
 
-def certificate_agrees_with_condition(alpha, beta) -> bool:
-    """Self-check: matching existence must equal the counting condition."""
-    found = find_matching_certificate(build_matrix(alpha, beta)) is not None
-    return found == necessary_condition_holds(alpha, beta)
-
-
-def _sorted_counts_admissible(counts) -> bool:
-    # ascending k-th smallest count must reach k: the worst k-subset of
-    # rows is the k smallest counts, and it needs one row with >= k
-    return all(c >= k for k, c in enumerate(sorted(counts), start=1))
-
-
 def nocancel_conditions_hold(alpha, lam) -> bool:
     """Both conditions of the no-cancellation class for a partition skew.
 
     (1) every k rows include one with at least k nonnegative subscripts
-    (evaluated via sorted row counts rather than all 2^l subsets), and
-    (2) no two identical rows contain a zero subscript.  ``lam`` must be
-    a partition, allowing trailing zeros.
+    (the counting test of :func:`necessary_condition_holds`), and (2) no
+    two identical rows contain a zero subscript.  ``lam`` must be a
+    partition, allowing trailing zeros.
     """
     lam = tuple(lam)
     if not is_partition(strip_trailing_zeros(lam)):
         raise ValueError(
             f"skewing sequence must be a partition up to trailing zeros: {lam!r}"
         )
-    m = build_matrix(alpha, lam)
-    if not _sorted_counts_admissible(row_nonneg_counts(m)):
-        return False
-    multiplicity: dict[tuple[int, ...], int] = {}
-    for row in m.entries:
-        multiplicity[row] = multiplicity.get(row, 0) + 1
-    return all(mult < 2 or 0 not in row for row, mult in multiplicity.items())
+    ahat, bhat = _hat_pair(alpha, lam)
+    counts_ok = _sorted_counts_admissible(_row_nonneg_counts(ahat, bhat))
+    return counts_ok and _no_repeated_zero_row(ahat, bhat)
 
 
 def greedy_h0_term(m: SubscriptMatrix):
@@ -214,19 +197,23 @@ def greedy_h0_term(m: SubscriptMatrix):
 
 
 def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
-    """Aggregate the three tests, refining with the exact expansion when cheap.
+    """Aggregate the tests, refining with the exact expansion when cheap.
 
-    Failure of the counting condition proves every term vanishes.  A
+    Failure of the counting test proves every term vanishes; it reads
+    only the hat sequences, so no matrix is built for such a pair.  A
     partition skew meeting the no-cancellation conditions is provably
     nonzero, witnessed by the greedy term.  Otherwise a matching
     certificate shows a term survives pre-cancellation, and under the
     dimension cap the exact expansion decides whether cancellation
     removes them all; above the cap that question is left open.
     """
-    matrix = build_matrix(alpha, beta)
-    if not necessary_condition_holds(alpha, beta):
+    alpha, beta = validate_pair(alpha, beta)
+    ahat, bhat = hat(alpha), hat(beta)
+    if not _sorted_counts_admissible(_row_nonneg_counts(ahat, bhat)):
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
-    if is_partition(strip_trailing_zeros(beta)) and nocancel_conditions_hold(alpha, beta):
+    matrix = build_matrix(alpha, beta)
+    # condition (1) of the no-cancellation class is the test just passed
+    if is_partition(strip_trailing_zeros(beta)) and _no_repeated_zero_row(ahat, bhat):
         sign, word, selection = greedy_h0_term(matrix)
         return Classification(
             Outcome.PROVABLY_NONZERO,

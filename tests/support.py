@@ -1,8 +1,9 @@
 """Shared generators and independent brute-force oracles for the suite.
 
 The oracles here deliberately avoid the code paths they check: term
-survival is a raw permutation scan, and the row-count condition has a
-literal all-subsets form.  Random streams are seeded so that every test
+survival is a raw permutation scan, the row-count condition has a
+literal all-subsets form, and the repeated-row condition scans matrix
+rows instead of hat values.  Random streams are seeded so that every test
 module (and the acceptance suite) sees the same pairs.
 """
 
@@ -23,6 +24,14 @@ def surviving_term_exists(matrix) -> bool:
         all(matrix.entries[i][perm[i]] >= 0 for i in range(l))
         for perm in itertools.permutations(range(l))
     )
+
+
+def no_repeated_zero_row_scan(matrix) -> bool:
+    """Oracle for condition (2): no row containing a zero occurs twice."""
+    multiplicity = {}
+    for row in matrix.entries:
+        multiplicity[row] = multiplicity.get(row, 0) + 1
+    return all(mult < 2 or 0 not in row for row, mult in multiplicity.items())
 
 
 def condition1_all_subsets(counts) -> bool:

@@ -62,6 +62,15 @@ def test_expand_dimension_cap_env(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_dimension_cap_env_must_be_positive(capsys, monkeypatch):
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("IMMACULATE_DIM_CAP", raw)
+        for argv in (("classify", "6,4,3", "2,4,1"), ("enumerate", "--n", "3", "--len", "1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert "IMMACULATE_DIM_CAP must be at least 1" in err
+
+
 def test_classify_lines(capsys):
     code, out, _ = run(capsys, "classify", "5,7,1,3", "5,5,5,1")
     assert (code, out) == (EXIT_OK, "ALL_ZERO_PRE_CANCELLATION\n")

@@ -7,7 +7,6 @@ from immaculates.matrix import (
     build_matrix,
     check_partition_row_monotonicity,
     has_negative_crossing_violation,
-    row_nonneg_counts,
     sign_pattern,
 )
 
@@ -80,12 +79,6 @@ def test_negative_crossing_never_on_associated_matrices():
         assert not has_negative_crossing_violation(
             sign_pattern(build_matrix(alpha, beta))
         )
-
-
-def test_row_nonneg_counts():
-    assert row_nonneg_counts(build_matrix((10, 7, 9), (9, 8, 5))) == (3, 1, 2)
-    assert row_nonneg_counts(build_matrix((6, 4, 3), (2, 4, 1))) == (3, 3, 1)
-    assert row_nonneg_counts(build_matrix((1, 1), (5, 5))) == (0, 0)
 
 
 def test_partition_row_monotonicity():

@@ -2,35 +2,48 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from immaculates.compositions import hat
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import HExpansion
-from immaculates.matrix import build_matrix, row_nonneg_counts
+from immaculates.matrix import build_matrix
 from immaculates.ndet import ndet_permutation_sum
 from immaculates.predicates import (
     Classification,
     Outcome,
-    certificate_agrees_with_condition,
+    _no_repeated_zero_row,
+    _row_nonneg_counts,
     classify,
     find_matching_certificate,
     format_certificate,
     greedy_h0_term,
     necessary_condition_holds,
-    no_all_negative_row,
     nocancel_conditions_hold,
 )
 
 from support import (
     condition1_all_subsets,
+    no_repeated_zero_row_scan,
     random_composition,
     surviving_term_exists,
 )
+
+
+@st.composite
+def equal_length_pairs(draw):
+    length = draw(st.integers(min_value=1, max_value=7))
+    alpha = draw(st.lists(st.integers(1, 10), min_size=length, max_size=length))
+    beta = draw(st.lists(st.integers(0, 10), min_size=length, max_size=length))
+    return tuple(alpha), tuple(beta)
 
 
 def test_necessary_condition_worked_examples():
     assert not necessary_condition_holds((5, 7, 1, 3), (5, 5, 5, 1))
     assert necessary_condition_holds((10, 7, 9), (9, 8, 5))
     assert necessary_condition_holds((6, 4, 3), (2, 4, 1))
+    # alpha_hat = (0, -1) lies entirely below beta_hat = (4, 3)
+    assert not necessary_condition_holds((1, 1), (5, 5))
 
 
 def test_necessary_condition_rejects_length_mismatch():
@@ -38,26 +51,36 @@ def test_necessary_condition_rejects_length_mismatch():
         necessary_condition_holds((1, 2), (1,))
 
 
-def test_no_all_negative_row():
-    # fails the general condition at k=2 but not at k=1
-    assert no_all_negative_row((5, 7, 1, 3), (5, 5, 5, 1))
-    assert no_all_negative_row((6, 4, 3), (2, 4, 1))
-    # alpha_hat = (0, -1) entirely below beta_hat = (4, 3)
-    assert not no_all_negative_row((1, 1), (5, 5))
+def test_row_nonneg_counts():
+    def counts(alpha, beta):
+        return _row_nonneg_counts(hat(alpha), hat(beta))
+
+    assert counts((10, 7, 9), (9, 8, 5)) == [3, 1, 2]
+    assert counts((6, 4, 3), (2, 4, 1)) == [3, 3, 1]
+    assert counts((1, 1), (5, 5)) == [0, 0]
 
 
-def test_no_all_negative_row_is_the_k1_case():
-    rng = random.Random(31)
-    for _ in range(300):
-        length = rng.choice((2, 3, 4))
-        alpha = random_composition(rng, length, 9)
-        beta = random_composition(rng, length, 9)
-        neg = [
-            sum(1 for j in range(length) if build_matrix(alpha, beta).entries[i][j] < 0)
-            for i in range(length)
-        ]
-        k1_holds = sum(1 for c in neg if c >= length) == 0
-        assert no_all_negative_row(alpha, beta) == k1_holds
+@given(equal_length_pairs())
+def test_row_nonneg_counts_match_matrix_rows(pair):
+    alpha, beta = pair
+    literal = [sum(1 for e in row if e >= 0) for row in build_matrix(alpha, beta).entries]
+    assert _row_nonneg_counts(hat(alpha), hat(beta)) == literal
+
+
+@given(equal_length_pairs())
+def test_necessary_condition_matches_brute_force(pair):
+    alpha, beta = pair
+    assert necessary_condition_holds(alpha, beta) == surviving_term_exists(
+        build_matrix(alpha, beta)
+    )
+
+
+@given(equal_length_pairs())
+def test_repeated_zero_row_on_hats_matches_row_scan(pair):
+    alpha, beta = pair
+    assert _no_repeated_zero_row(hat(alpha), hat(beta)) == no_repeated_zero_row_scan(
+        build_matrix(alpha, beta)
+    )
 
 
 def test_matching_certificate_worked_example():
@@ -68,11 +91,6 @@ def test_matching_certificate_edge_cases():
     assert find_matching_certificate(build_matrix((1, 1), (5, 5))) is None
     # all-nonnegative matrix matches identically
     assert find_matching_certificate(build_matrix((9, 9, 9), (1, 1, 1))) == (1, 2, 3)
-
-
-def test_certificate_agrees_with_condition_examples():
-    assert certificate_agrees_with_condition((10, 7, 9), (9, 8, 5))
-    assert certificate_agrees_with_condition((5, 7, 1, 3), (5, 5, 5, 1))
 
 
 def test_condition_equivalent_to_matching_and_brute_force_small():
@@ -197,6 +215,15 @@ def test_classify_provably_nonzero_implies_term_exists():
         if result.outcome is Outcome.PROVABLY_NONZERO:
             assert necessary_condition_holds(alpha, beta)
             assert surviving_term_exists(build_matrix(alpha, beta))
+
+
+def test_classify_rejects_bad_input():
+    with pytest.raises(LengthMismatchError):
+        classify((1, 2), (1,))
+    with pytest.raises(ValueError, match="alpha must be a composition"):
+        classify((1, 0), (1, 1))
+    with pytest.raises(ValueError, match="beta parts must be nonnegative"):
+        classify((2, 1), (1, -1))
 
 
 def test_format_certificate():
