@@ -24,7 +24,7 @@ from .compositions import (
 )
 from .errors import LengthMismatchError
 from .matrix import build_matrix
-from .ndet import DEFAULT_DIM_CAP, ndet_laplace
+from .ndet import DEFAULT_DIM_CAP, ndet_laplace, skew_immaculate
 from .predicates import Outcome, classify, format_certificate
 from .symfunc import schur_via_jacobi_trudi, schur_via_tableaux
 
@@ -98,7 +98,7 @@ def census_records(n: int, length: int, partitions_only: bool, cap: int, timings
             elif result.outcome is Outcome.NONZERO_TERM_EXISTS and result.witness is not None:
                 terms = len(result.witness)
             else:
-                terms = len(ndet_laplace(build_matrix(alpha, beta), cap=cap))
+                terms = len(skew_immaculate(alpha, beta, cap=cap))
             micros = (time.perf_counter_ns() - started) // 1000 if timings else 0
             yield {
                 "alpha": format_parts(alpha),

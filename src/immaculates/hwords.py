@@ -65,6 +65,13 @@ class HExpansion:
         self._terms = data
 
     @classmethod
+    def _of(cls, terms: dict[Word, int]) -> "HExpansion":
+        """Adopt a term map that already holds only normalized words and nonzero ints."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "HExpansion":
         return cls()
 
@@ -85,9 +92,7 @@ class HExpansion:
             terms[word] = total
         else:
             del terms[word]
-        out = HExpansion.__new__(HExpansion)
-        out._terms = terms
-        return out
+        return HExpansion._of(terms)
 
     def coefficient(self, word: Iterable[int]) -> int:
         return self._terms.get(tuple(word), 0)

@@ -4,13 +4,15 @@ Each determinant term selects one entry per row in a distinct column;
 factors multiply in row order (top row first) and the term's sign is
 the parity of the chosen column permutation.  ``ndet_permutation_sum``
 is the plain reference over all l! selections; ``ndet_laplace`` is the
-recursive top-row expansion with negative-pivot pruning.  The two are
-implemented independently and serve as mutual oracles in the tests.
+layered Laplace expansion, bottom row first, with negative-pivot pruning;
+its engine also expands the Jacobi-Trudi determinant in ``symfunc``.
+The two are independent implementations and mutual test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from .compositions import is_composition
@@ -81,42 +83,49 @@ def ndet_permutation_sum(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
     return HExpansion(acc)
 
 
-def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
-    """Recursive expansion along the current top row, alternating cofactor signs.
+def _layered_laplace(cells, unit, mul) -> dict:
+    """Determinant of a square table over a monoid algebra with int coefficients.
 
-    Subtrees under a negative pivot are pruned: every word through such a
-    pivot is annihilated, so the whole cofactor contributes nothing.  Minors
-    are memoized on their column set (the row range is determined by it).
+    ``cells[i][j]`` maps monoid keys to nonzero coefficients, or is None
+    for a zero entry; ``mul(u, v)`` multiplies keys, ``u`` from the upper
+    row.  Layer k maps each column set (a bitmask) to its nonzero minor on
+    the bottom k rows, expanded along that minor's top row; layer k - 1 is
+    dropped once layer k is complete.  Returns the determinant's term map.
+    """
+    layer = {0: {unit: 1}}
+    for row in reversed(cells):
+        nxt: dict[int, dict] = {}
+        for cols, minor in layer.items():
+            for col, cell in enumerate(row):
+                bit = 1 << col
+                if cell is None or cols & bit:
+                    continue
+                odd = (cols & (bit - 1)).bit_count() & 1
+                acc = nxt.setdefault(cols | bit, {})
+                for ckey, ccoeff in cell.items():
+                    scale = -ccoeff if odd else ccoeff
+                    for mkey, mcoeff in minor.items():
+                        key = mul(ckey, mkey)
+                        total = acc.get(key, 0) + scale * mcoeff
+                        if total:
+                            acc[key] = total
+                        else:
+                            del acc[key]
+        layer = {cols: minor for cols, minor in nxt.items() if minor}
+    return layer.get((1 << len(cells)) - 1, {})
+
+
+def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
+    """Layered Laplace expansion, bottom row first, with negative-pivot pruning.
+
+    A negative pivot kills every word through it, so its cofactor is
+    skipped; a zero pivot is the unit.
     """
     _check_cap(m.dim, cap)
-    entries = m.entries
-    l = m.dim
-    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-    def minor(cols: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        if not cols:
-            return {(): 1}
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = l - len(cols)
-        acc: dict[tuple[int, ...], int] = {}
-        for pos, col in enumerate(cols):
-            pivot = entries[row][col]
-            if pivot < 0:
-                continue
-            sign = 1 if pos % 2 == 0 else -1
-            for word, coeff in minor(cols[:pos] + cols[pos + 1:]).items():
-                key = (pivot,) + word if pivot else word
-                total = acc.get(key, 0) + sign * coeff
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-        memo[cols] = acc
-        return acc
-
-    return HExpansion(minor(tuple(range(l))))
+    cells = [
+        [None if e < 0 else {(e,) if e else (): 1} for e in row] for row in m.entries
+    ]
+    return HExpansion._of(_layered_laplace(cells, (), operator.add))
 
 
 def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:

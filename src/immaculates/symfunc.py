@@ -14,10 +14,16 @@ count; exponent vectors are tuples of that length.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from .compositions import is_partition
 from .hwords import HExpansion
+from .ndet import _layered_laplace
+
+
+def _add_exponents(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, e1, e2))
 
 
 class Poly:
@@ -45,6 +51,14 @@ class Poly:
             elif exps in data:
                 del data[exps]
         self._terms = data
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Poly":
+        """Adopt a term map that already holds only valid exponents and nonzero ints."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -92,10 +106,7 @@ class Poly:
                 data[exps] = total
             else:
                 del data[exps]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out._terms = data
-        return out
+        return Poly._of(self.nvars, data)
 
     def __neg__(self) -> "Poly":
         return self * -1
@@ -105,26 +116,19 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = Poly.__new__(Poly)
-            out.nvars = self.nvars
-            out._terms = (
-                {} if other == 0 else {e: c * other for e, c in self._terms.items()}
-            )
-            return out
+            terms = {e: c * other for e, c in self._terms.items()} if other else {}
+            return Poly._of(self.nvars, terms)
         self._require_same_vars(other)
         data: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = _add_exponents(e1, e2)
                 total = data.get(key, 0) + c1 * c2
                 if total:
                     data[key] = total
                 else:
                     del data[key]
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out._terms = data
-        return out
+        return Poly._of(self.nvars, data)
 
     __rmul__ = __mul__
 
@@ -279,48 +283,36 @@ def schur_via_tableaux(outer, inner, n: int) -> Poly:
     return Poly(n, terms)
 
 
+def _h_terms(n: int):
+    """Term maps of ``h_poly(k, n)`` by degree k, built once each; None for k < 0."""
+    if n < 1:
+        raise ValueError("need at least one variable")
+    cache: dict[int, dict[tuple[int, ...], int]] = {}
+
+    def h(k: int):
+        if k < 0:
+            return None
+        if k not in cache:
+            cache[k] = h_poly(k, n)._terms
+        return cache[k]
+
+    return h
+
+
 def schur_via_jacobi_trudi(outer, inner, n: int) -> Poly:
     """Schur polynomial as the determinant of complete homogeneous entries.
 
     Entry (i, j) is the complete homogeneous polynomial of degree
     (outer_i - i) - (inner_j - j) (1-based indices); negative degrees are
-    the zero polynomial, which prunes the expansion.
+    the zero polynomial, which prunes the expansion.  The determinant is
+    the layered Laplace expansion of ``ndet``, bottom row first; the empty
+    shape gives the 0 x 0 determinant 1.
     """
     outer, inner = _check_skew_shape(outer, inner)
-    size = len(outer)
-    if size == 0:
-        return Poly.one(n)
-    hcache: dict[int, Poly] = {}
-
-    def h(k: int) -> Poly:
-        if k not in hcache:
-            hcache[k] = h_poly(k, n) if k >= 0 else Poly.zero(n)
-        return hcache[k]
-
-    rows = [
-        [h(outer[i] - (i + 1) - (inner[j] - (j + 1))) for j in range(size)]
-        for i in range(size)
-    ]
-    memo: dict[tuple[int, ...], Poly] = {}
-
-    def det(cols: tuple[int, ...]) -> Poly:
-        if not cols:
-            return Poly.one(n)
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = size - len(cols)
-        acc = Poly.zero(n)
-        for pos, col in enumerate(cols):
-            entry = rows[row][col]
-            if entry.is_zero():
-                continue
-            term = entry * det(cols[:pos] + cols[pos + 1:])
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return det(tuple(range(size)))
+    h = _h_terms(n)
+    size = range(len(outer))
+    cells = [[h(outer[i] - i - (inner[j] - j)) for j in size] for i in size]
+    return Poly._of(n, _layered_laplace(cells, (0,) * n, _add_exponents))
 
 
 def forgetful(expansion: HExpansion, n: int) -> Poly:
@@ -329,20 +321,12 @@ def forgetful(expansion: HExpansion, n: int) -> Poly:
     Each word (a1, ..., ak) maps to the product of complete homogeneous
     polynomials of those degrees, extended linearly.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
-    hcache: dict[int, Poly] = {}
-
-    def h(k: int) -> Poly:
-        if k not in hcache:
-            hcache[k] = h_poly(k, n)
-        return hcache[k]
-
+    h = _h_terms(n)
     acc = Poly.zero(n)
     for word, coeff in expansion.items():
         product = Poly.one(n)
         for a in word:
-            product = product * h(a)
+            product = product * Poly._of(n, h(a))
         acc = acc + product * coeff
     return acc
 

@@ -10,11 +10,22 @@ module (and the acceptance suite) sees the same pairs.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from immaculates import enumerate_compositions, is_partition, nocancel_conditions_hold
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
 STRUCT_SEED = 0xC0FFEE
+
+
+@st.composite
+def equal_length_pairs(draw):
+    """Hypothesis strategy: (alpha, beta) of one length in 1..7, parts up to 10."""
+    length = draw(st.integers(min_value=1, max_value=7))
+    alpha = draw(st.lists(st.integers(1, 10), min_size=length, max_size=length))
+    beta = draw(st.lists(st.integers(0, 10), min_size=length, max_size=length))
+    return tuple(alpha), tuple(beta)
 
 
 def surviving_term_exists(matrix) -> bool:

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
 
 from immaculates.errors import DimensionCapError
 from immaculates.hwords import HExpansion
@@ -16,7 +17,7 @@ from immaculates.ndet import (
     term_of_selection,
 )
 
-from support import compositions_up_to_weight, random_composition
+from support import compositions_up_to_weight, equal_length_pairs, random_composition
 
 
 def test_permutation_sign():
@@ -88,6 +89,15 @@ def test_cross_implementation_random_up_to_seven():
             random_composition(rng, length, 13), random_composition(rng, length, 13)
         )
         assert ndet_permutation_sum(m) == ndet_laplace(m)
+
+
+@given(equal_length_pairs())
+def test_laplace_matches_permutation_sum_and_validating_constructor(pair):
+    m = build_matrix(*pair)
+    expansion = ndet_laplace(m)
+    assert expansion == ndet_permutation_sum(m)
+    # the unvalidated result holds only words the public constructor accepts
+    assert expansion == HExpansion(dict(expansion.items()))
 
 
 def test_all_negative_row_forces_zero():

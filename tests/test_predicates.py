@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from immaculates.compositions import hat
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
@@ -24,18 +24,11 @@ from immaculates.predicates import (
 
 from support import (
     condition1_all_subsets,
+    equal_length_pairs,
     no_repeated_zero_row_scan,
     random_composition,
     surviving_term_exists,
 )
-
-
-@st.composite
-def equal_length_pairs(draw):
-    length = draw(st.integers(min_value=1, max_value=7))
-    alpha = draw(st.lists(st.integers(1, 10), min_size=length, max_size=length))
-    beta = draw(st.lists(st.integers(0, 10), min_size=length, max_size=length))
-    return tuple(alpha), tuple(beta)
 
 
 def test_necessary_condition_worked_examples():

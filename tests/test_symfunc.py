@@ -104,6 +104,8 @@ def test_skew_schur_22_1_polynomial():
 
 
 def test_jacobi_trudi_small_cases():
+    for n in (1, 3):
+        assert schur_via_jacobi_trudi((), (), n) == Poly.one(n)
     assert schur_via_jacobi_trudi((3,), (), 2) == h_poly(3, 2)
     h2, h1, h3 = h_poly(2, 3), h_poly(1, 3), h_poly(3, 3)
     assert schur_via_jacobi_trudi((2, 1), (), 3) == h2 * h1 - h3
