@@ -5,6 +5,11 @@ H_{a1} H_{a2} ... of noncommuting generators.  Subscript 0 is the unit
 and disappears on normalization; a negative subscript annihilates the
 whole word.  Linear combinations keep exact (arbitrary-precision)
 integer coefficients, so no coefficient can ever overflow or wrap.
+
+The exact sparse term map under both algebras lives here too: H-expansions
+and the polynomials of ``symfunc`` are :class:`TermMap` subclasses, and
+its zero-dropping accumulate exists once in :func:`add_terms` and once in
+:func:`add_product`, also the inner loop of the Laplace engine in ``ndet``.
 """
 
 from __future__ import annotations
@@ -34,35 +39,103 @@ def concat(u: Iterable[int], v: Iterable[int]) -> Word:
     return tuple(u) + tuple(v)
 
 
-def _word_sort_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
+def add_terms(acc: dict, pairs) -> dict:
+    """Add ``(key, int)`` pairs into ``acc`` and return it.
+
+    A key whose total is zero is removed, or never added, so ``acc``
+    stores no zero coefficient.
+    """
+    for key, coeff in pairs:
+        total = acc.get(key, 0) + coeff
+        if total:
+            acc[key] = total
+        elif key in acc:
+            del acc[key]
+    return acc
 
 
-class HExpansion:
-    """A finite integer combination of basis words.
+def add_product(acc: dict, left, right, mul, scale: int) -> dict:
+    """Add ``scale`` times the product of term maps ``left``, ``right`` into ``acc``.
 
-    Immutable by convention: every operation returns a new expansion.
-    Zero coefficients are never stored, so equality is plain dict equality.
+    ``mul(u, v)`` multiplies keys, ``u`` from ``left``; all coefficients
+    and ``scale`` are nonzero ints.  Returns ``acc``, which keeps no zero.
+    """
+    for lkey, lcoeff in left.items():
+        lscale = scale * lcoeff
+        for rkey, rcoeff in right.items():
+            key = mul(lkey, rkey)
+            total = acc.get(key, 0) + lscale * rcoeff
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+    return acc
+
+
+class TermMap:
+    """A finite exact integer combination of hashable keys; zeros are never stored.
+
+    Immutable by convention.  Each slot a subclass adds is part of its
+    value and prints before the terms in ``repr``.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
+    @staticmethod
+    def _merged(terms, check_key) -> dict:
+        """Sum ``{key: coeff}`` or pairs into a dict, every key via ``check_key``."""
         items = terms.items() if hasattr(terms, "items") else terms
-        data: dict[Word, int] = {}
-        for raw_word, coeff in items:
-            word = tuple(int(a) for a in raw_word)
-            if any(a < 1 for a in word):
-                raise ValueError(f"words must be normalized (positive subscripts): {word!r}")
-            coeff = int(coeff)
-            if not coeff:
-                continue
-            total = data.get(word, 0) + coeff
-            if total:
-                data[word] = total
-            elif word in data:
-                del data[word]
-        self._terms = data
+        return add_terms({}, ((check_key(key), int(coeff)) for key, coeff in items))
+
+    def coefficient(self, key: Iterable[int]) -> int:
+        return self._terms.get(tuple(key), 0)
+
+    def items(self):
+        return iter(self._terms.items())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __repr__(self) -> str:
+        head = "".join(f"{getattr(self, name)!r}, " for name in type(self).__slots__)
+        return f"{type(self).__name__}({head}{self.render()!r})"
+
+    def _render(self, order, reverse: bool, body) -> str:
+        """Terms by ``order``, each ``{+|-}{|c|}`` then ``body(key)``; zero is ``0``."""
+        terms = self._terms
+        if not terms:
+            return "0"
+        return " ".join(
+            f"{'+' if (c := terms[key]) > 0 else '-'}{abs(c)}{body(key)}"
+            for key in sorted(terms, key=order, reverse=reverse)
+        )
+
+
+def _checked_word(raw: Iterable[int]) -> Word:
+    word = tuple(int(a) for a in raw)
+    if any(a < 1 for a in word):
+        raise ValueError(f"words must be normalized (positive subscripts): {word!r}")
+    return word
+
+
+def _word_sort_key(word: Word) -> tuple[int, Word]:
+    return (len(word), word)
+
+
+def _word_body(word: Word) -> str:
+    return f"·H[{','.join(map(str, word))}]"
+
+
+class HExpansion(TermMap):
+    """A finite integer combination of basis words under concatenation."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
+        self._terms = self._merged(terms, _checked_word)
 
     @classmethod
     def _of(cls, terms: dict[Word, int]) -> "HExpansion":
@@ -86,37 +159,16 @@ class HExpansion:
         word = normalize_word(raw)
         if word is None:
             return self
-        terms = dict(self._terms)
-        total = terms.get(word, 0) + sign
-        if total:
-            terms[word] = total
-        else:
-            del terms[word]
-        return HExpansion._of(terms)
-
-    def coefficient(self, word: Iterable[int]) -> int:
-        return self._terms.get(tuple(word), 0)
-
-    def items(self):
-        return iter(self._terms.items())
+        return HExpansion._of(add_terms(dict(self._terms), ((word, sign),)))
 
     def words(self):
         return self._terms.keys()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HExpansion) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"HExpansion({self.render()!r})"
 
     def render(self) -> str:
         """Canonical text form, the bit-exact format used by the CLI and fixtures.
@@ -126,12 +178,4 @@ class HExpansion:
         by single spaces; the unit word renders ``H[]`` and the zero
         expansion renders ``0``.
         """
-        if not self._terms:
-            return "0"
-        chunks = []
-        for word in sorted(self._terms, key=_word_sort_key):
-            coeff = self._terms[word]
-            sign = "+" if coeff > 0 else "-"
-            body = ",".join(str(a) for a in word)
-            chunks.append(f"{sign}{abs(coeff)}·H[{body}]")
-        return " ".join(chunks)
+        return self._render(_word_sort_key, False, _word_body)

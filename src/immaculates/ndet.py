@@ -5,7 +5,8 @@ factors multiply in row order (top row first) and the term's sign is
 the parity of the chosen column permutation.  ``ndet_permutation_sum``
 is the plain reference over all l! selections; ``ndet_laplace`` is the
 layered Laplace expansion, bottom row first, with negative-pivot pruning;
-its engine also expands the Jacobi-Trudi determinant in ``symfunc``.
+its engine also expands the Jacobi-Trudi determinant in ``symfunc``, and
+its inner loop is the shared term-map product ``hwords.add_product``.
 The two are independent implementations and mutual test oracles.
 """
 
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 from .compositions import is_composition
 from .errors import DimensionCapError, LengthMismatchError
-from .hwords import HExpansion, normalize_word
+from .hwords import HExpansion, add_product, normalize_word
 from .matrix import SubscriptMatrix, build_matrix
 
 # l! terms beyond this exceed desk scale; the CLI can override via env.
@@ -100,17 +101,8 @@ def _layered_laplace(cells, unit, mul) -> dict:
                 bit = 1 << col
                 if cell is None or cols & bit:
                     continue
-                odd = (cols & (bit - 1)).bit_count() & 1
-                acc = nxt.setdefault(cols | bit, {})
-                for ckey, ccoeff in cell.items():
-                    scale = -ccoeff if odd else ccoeff
-                    for mkey, mcoeff in minor.items():
-                        key = mul(ckey, mkey)
-                        total = acc.get(key, 0) + scale * mcoeff
-                        if total:
-                            acc[key] = total
-                        else:
-                            del acc[key]
+                sign = -1 if (cols & (bit - 1)).bit_count() & 1 else 1
+                add_product(nxt.setdefault(cols | bit, {}), cell, minor, mul, sign)
         layer = {cols: minor for cols, minor in nxt.items() if minor}
     return layer.get((1 << len(cells)) - 1, {})
 

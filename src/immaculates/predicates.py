@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .compositions import hat, is_partition, strip_trailing_zeros
+from .compositions import hat, is_zero_padded_partition
 from .errors import GreedyPreconditionError
 from .hwords import HExpansion, normalize_word
 from .matrix import SubscriptMatrix, build_matrix, validate_pair
@@ -145,7 +145,7 @@ def nocancel_conditions_hold(alpha, lam) -> bool:
     partition, allowing trailing zeros.
     """
     lam = tuple(lam)
-    if not is_partition(strip_trailing_zeros(lam)):
+    if not is_zero_padded_partition(lam):
         raise ValueError(
             f"skewing sequence must be a partition up to trailing zeros: {lam!r}"
         )
@@ -213,7 +213,7 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
     matrix = build_matrix(alpha, beta)
     # condition (1) of the no-cancellation class is the test just passed
-    if is_partition(strip_trailing_zeros(beta)) and _no_repeated_zero_row(ahat, bhat):
+    if is_zero_padded_partition(beta) and _no_repeated_zero_row(ahat, bhat):
         sign, word, selection = greedy_h0_term(matrix)
         return Classification(
             Outcome.PROVABLY_NONZERO,

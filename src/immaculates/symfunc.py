@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from typing import NamedTuple
 
 from .compositions import is_partition
-from .hwords import HExpansion
+from .hwords import HExpansion, TermMap, add_product, add_terms
 from .ndet import _layered_laplace
 
 
@@ -26,31 +27,34 @@ def _add_exponents(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, e1, e2))
 
 
-class Poly:
+def _monomial_body(exps: tuple[int, ...]) -> str:
+    return "".join(
+        f"·x{i}" if e == 1 else f"·x{i}^{e}" for i, e in enumerate(exps, start=1) if e
+    )
+
+
+def _graded_lex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return (sum(exps), exps)
+
+
+class Poly(TermMap):
     """Sparse polynomial with exact int coefficients in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=()):
         nvars = int(nvars)
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
-        items = terms.items() if hasattr(terms, "items") else terms
-        data: dict[tuple[int, ...], int] = {}
-        for raw_exps, coeff in items:
-            exps = tuple(int(e) for e in raw_exps)
+
+        def checked_exponents(raw) -> tuple[int, ...]:
+            exps = tuple(int(e) for e in raw)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
-            coeff = int(coeff)
-            if not coeff:
-                continue
-            total = data.get(exps, 0) + coeff
-            if total:
-                data[exps] = total
-            elif exps in data:
-                del data[exps]
-        self._terms = data
+            return exps
+
+        self._terms = self._merged(terms, checked_exponents)
 
     @classmethod
     def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Poly":
@@ -68,20 +72,8 @@ class Poly:
     def one(cls, nvars: int) -> "Poly":
         return cls(nvars, {(0,) * nvars: 1})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, exps) -> int:
-        return self._terms.get(tuple(exps), 0)
-
     def exponents(self):
         return self._terms.keys()
-
-    def items(self):
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,14 +91,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._require_same_vars(other)
-        data = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            total = data.get(exps, 0) + coeff
-            if total:
-                data[exps] = total
-            else:
-                del data[exps]
-        return Poly._of(self.nvars, data)
+        return Poly._of(self.nvars, add_terms(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "Poly":
         return self * -1
@@ -119,16 +104,8 @@ class Poly:
             terms = {e: c * other for e, c in self._terms.items()} if other else {}
             return Poly._of(self.nvars, terms)
         self._require_same_vars(other)
-        data: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = _add_exponents(e1, e2)
-                total = data.get(key, 0) + c1 * c2
-                if total:
-                    data[key] = total
-                else:
-                    del data[key]
-        return Poly._of(self.nvars, data)
+        terms = add_product({}, self._terms, other._terms, _add_exponents, 1)
+        return Poly._of(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -140,9 +117,6 @@ class Poly:
             {tuple(e[p] for p in perm): c for e, c in self._terms.items()},
         )
 
-    def __repr__(self) -> str:
-        return f"Poly({self.nvars}, {self.render()!r})"
-
     def render(self) -> str:
         """Deterministic text form: graded-lex order, largest terms first.
 
@@ -150,22 +124,7 @@ class Poly:
         exponents and absent variables elided; a constant term is the
         bare signed coefficient and the zero polynomial is ``0``.
         """
-        if not self._terms:
-            return "0"
-        chunks = []
-        for exps in sorted(self._terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self._terms[exps]
-            sign = "+" if coeff > 0 else "-"
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-            if factors:
-                chunks.append(f"{sign}{abs(coeff)}·" + "·".join(factors))
-            else:
-                chunks.append(f"{sign}{abs(coeff)}")
-        return " ".join(chunks)
+        return self._render(_graded_lex_key, True, _monomial_body)
 
 
 def h_poly(k: int, n: int) -> Poly:
@@ -184,7 +143,7 @@ def h_poly(k: int, n: int) -> Poly:
         for i in combo:
             exps[i] += 1
         terms[tuple(exps)] = 1
-    return Poly(n, terms)
+    return Poly._of(n, terms)
 
 
 def m_poly(lam, n: int) -> Poly:
@@ -276,11 +235,8 @@ def generate_ssyt(outer, inner, n: int):
 
 def schur_via_tableaux(outer, inner, n: int) -> Poly:
     """Schur polynomial as the weight generating function of tableaux."""
-    terms: dict[tuple[int, ...], int] = {}
-    for tab in generate_ssyt(outer, inner, n):
-        key = tab.weight_exponents(n)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(n, terms)
+    tableaux = generate_ssyt(outer, inner, n)
+    return Poly(n, Counter(tab.weight_exponents(n) for tab in tableaux))
 
 
 def _h_terms(n: int):
@@ -336,8 +292,10 @@ def schur_decompose(p: Poly) -> dict[tuple[int, ...], int]:
 
     Peels the lexicographically greatest exponent vector, which for a
     polynomial in the Schur span is always weakly decreasing and is the
-    leading weight of exactly one Schur polynomial.  Raises ValueError
-    when the input is not in the span.
+    leading weight of exactly one Schur polynomial.  Each peel removes
+    that term and adds only lexicographically smaller ones, so every shape
+    is met once, with a nonzero coefficient.  Raises ValueError when the
+    input is not in the span.
     """
     remainder = p
     out: dict[tuple[int, ...], int] = {}
@@ -349,6 +307,6 @@ def schur_decompose(p: Poly) -> dict[tuple[int, ...], int]:
             )
         mu = tuple(e for e in lead if e)
         coeff = remainder.coefficient(lead)
-        out[mu] = out.get(mu, 0) + coeff
+        out[mu] = coeff
         remainder = remainder - coeff * schur_via_tableaux(mu, (), p.nvars)
-    return {mu: c for mu, c in out.items() if c}
+    return out

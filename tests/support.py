@@ -2,13 +2,17 @@
 
 The oracles here deliberately avoid the code paths they check: term
 survival is a raw permutation scan, the row-count condition has a
-literal all-subsets form, and the repeated-row condition scans matrix
-rows instead of hat values.  Random streams are seeded so that every test
-module (and the acceptance suite) sees the same pairs.
+literal all-subsets form, the repeated-row condition scans matrix
+rows instead of hat values, a polynomial is checked by evaluating it at
+integer points, and a term merge is summed in a ``Counter``.  Random
+streams are seeded so that every test module (and the acceptance suite)
+sees the same pairs.
 """
 
 import itertools
+import math
 import random
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -26,6 +30,21 @@ def equal_length_pairs(draw):
     alpha = draw(st.lists(st.integers(1, 10), min_size=length, max_size=length))
     beta = draw(st.lists(st.integers(0, 10), min_size=length, max_size=length))
     return tuple(alpha), tuple(beta)
+
+
+def evaluate_terms(pairs, point) -> int:
+    """Oracle: the sum of ``coeff * prod(x_i ** e_i)`` over ``(exps, coeff)`` pairs."""
+    return sum(
+        coeff * math.prod(x**e for x, e in zip(point, exps)) for exps, coeff in pairs
+    )
+
+
+def merge_with_counter(pairs) -> dict:
+    """Oracle: sum ``(key, coeff)`` pairs in a Counter, then drop zero totals."""
+    totals = Counter()
+    for key, coeff in pairs:
+        totals[key] += coeff
+    return {key: total for key, total in totals.items() if total}
 
 
 def surviving_term_exists(matrix) -> bool:

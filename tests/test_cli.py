@@ -92,10 +92,16 @@ def test_schur_check_match(capsys):
 
 
 def test_schur_check_containment_error(capsys):
-    code, _, err = run(capsys, "schur-check", "2,1", "--inner", "3", "--vars", "2")
-    assert code == EXIT_PARSE
-    code, _, err = run(capsys, "schur-check", "1,2", "--vars", "2")
-    assert code == EXIT_PARSE
+    for argv in (
+        ("2,1", "--inner", "3", "--vars", "2"),
+        ("1,2", "--vars", "2"),
+        ("2,1", "--inner", "1,2", "--vars", "2"),
+        ("2,1", "--inner", "1,1,1", "--vars", "2"),
+        ("2,1", "--vars", "0"),
+    ):
+        code, out, err = run(capsys, "schur-check", *argv)
+        assert code == EXIT_PARSE, argv
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_enumerate_stdout_and_summary(capsys):

@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from immaculates.hwords import HExpansion, concat, normalize_word
 
+from support import merge_with_counter
+
 subscripts = st.lists(st.integers(min_value=-3, max_value=6), max_size=6)
 
 
@@ -89,3 +91,29 @@ def test_coefficient_lookup():
     assert e.coefficient((9,)) == 0
     assert not e.is_zero()
     assert len(e) == 2
+
+
+def test_repr():
+    e = HExpansion({(4, 2): 1, (3, 1, 2): -1, (): 5})
+    assert repr(e) == "HExpansion('+5·H[] +1·H[4,2] -1·H[3,1,2]')"
+    assert repr(HExpansion()) == "HExpansion('0')"
+
+
+word_pairs = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(tuple),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    max_size=10,
+)
+
+
+@given(word_pairs)
+def test_merge_matches_counter(pairs):
+    expected = merge_with_counter(pairs)
+    assert dict(HExpansion(pairs).items()) == expected
+    unit_steps = [(word, 1 if c > 0 else -1) for word, c in pairs for _ in range(abs(c))]
+    built = HExpansion()
+    for word, sign in unit_steps:
+        built = built.add_term(sign, word)
+    assert dict(built.items()) == expected

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from immaculates.hwords import HExpansion
 from immaculates.ndet import immaculate
@@ -16,7 +17,7 @@ from immaculates.symfunc import (
     schur_via_tableaux,
 )
 
-from support import partitions_up_to_weight
+from support import evaluate_terms, partitions_up_to_weight
 
 
 def poly_from(n, monomials):
@@ -51,6 +52,47 @@ def test_poly_arithmetic_and_render():
     assert Poly.zero(2).render() == "0"
     assert Poly.one(2).render() == "+1"
     assert (3 * p * p - q).render() == "+3·x1^2 -1·x2"
+
+
+def test_poly_repr():
+    p = Poly(3, {(2, 0, 1): -3, (0, 0, 0): 2, (1, 0, 0): 1})
+    assert repr(p) == "Poly(3, '-3·x1^2·x3 +1·x1 +2')"
+    assert repr(Poly.zero(2)) == "Poly(2, '0')"
+
+
+@st.composite
+def poly_term_lists(draw):
+    """(nvars, two lists of (exponents, coeff) pairs), repeats and zeros allowed."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    pairs = st.lists(st.tuples(exps, st.integers(min_value=-4, max_value=4)), max_size=8)
+    return n, draw(pairs), draw(pairs)
+
+
+points = st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3)
+
+
+@given(poly_term_lists(), st.lists(points, min_size=1, max_size=4))
+def test_poly_arithmetic_matches_evaluation(terms, samples):
+    n, left, right = terms
+    p, q = Poly(n, left), Poly(n, right)
+    for point in samples:
+        x = point[:n]
+        vp, vq = evaluate_terms(left, x), evaluate_terms(right, x)
+        assert evaluate_terms(p.items(), x) == vp
+        assert evaluate_terms((p + q).items(), x) == vp + vq
+        assert evaluate_terms((p - q).items(), x) == vp - vq
+        assert evaluate_terms((p * q).items(), x) == vp * vq
+
+
+@given(poly_term_lists())
+def test_poly_results_equal_their_validated_copies(terms):
+    n, left, right = terms
+    p, q = Poly(n, left), Poly(n, right)
+    for r in (p, p + q, p - q, p * q, 3 * p, h_poly(2, n)):
+        copy = Poly(n, dict(r.items()))
+        assert copy == r and hash(copy) == hash(r)
+        assert all(coeff for _, coeff in r.items())
 
 
 def test_ssyt_counts():
