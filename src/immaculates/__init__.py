@@ -19,7 +19,7 @@ from .compositions import (
     unhat,
 )
 from .errors import DimensionCapError, GreedyPreconditionError, LengthMismatchError
-from .hwords import HExpansion, concat, normalize_word
+from .hwords import HExpansion, normalize_word
 from .matrix import (
     SubscriptMatrix,
     build_matrix,

@@ -14,6 +14,7 @@ its zero-dropping accumulate exists once in :func:`add_terms` and once in
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Mapping
 
 Word = tuple[int, ...]
@@ -32,11 +33,6 @@ def normalize_word(raw: Iterable[int]) -> Word | None:
         if a != 0:
             word.append(int(a))
     return tuple(word)
-
-
-def concat(u: Iterable[int], v: Iterable[int]) -> Word:
-    """Concatenation product of two normalized words (noncommutative)."""
-    return tuple(u) + tuple(v)
 
 
 def add_terms(acc: dict, pairs) -> dict:
@@ -103,15 +99,16 @@ class TermMap:
         head = "".join(f"{getattr(self, name)!r}, " for name in type(self).__slots__)
         return f"{type(self).__name__}({head}{self.render()!r})"
 
-    def _render(self, order, reverse: bool, body) -> str:
-        """Terms by ``order``, each ``{+|-}{|c|}`` then ``body(key)``; zero is ``0``."""
-        terms = self._terms
-        if not terms:
-            return "0"
-        return " ".join(
-            f"{'+' if (c := terms[key]) > 0 else '-'}{abs(c)}{body(key)}"
-            for key in sorted(terms, key=order, reverse=reverse)
-        )
+    def _graded(self, grade, reverse: bool):
+        """Yield ``(g, keys)`` for each grade ``g`` of the keys, in grade order.
+
+        Each grade's keys come in plain tuple order; ``reverse`` makes both
+        orders descending.  ``grade`` is a builtin such as ``len`` or
+        ``sum``, so neither sort runs Python code per key.
+        """
+        by_grade = sorted(self._terms, key=grade, reverse=reverse)
+        for g, keys in itertools.groupby(by_grade, grade):
+            yield g, sorted(keys, reverse=reverse)
 
 
 def _checked_word(raw: Iterable[int]) -> Word:
@@ -119,14 +116,6 @@ def _checked_word(raw: Iterable[int]) -> Word:
     if any(a < 1 for a in word):
         raise ValueError(f"words must be normalized (positive subscripts): {word!r}")
     return word
-
-
-def _word_sort_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
-
-
-def _word_body(word: Word) -> str:
-    return f"·H[{','.join(map(str, word))}]"
 
 
 class HExpansion(TermMap):
@@ -161,9 +150,6 @@ class HExpansion(TermMap):
             return self
         return HExpansion._of(add_terms(dict(self._terms), ((word, sign),)))
 
-    def words(self):
-        return self._terms.keys()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HExpansion) and self._terms == other._terms
 
@@ -178,4 +164,9 @@ class HExpansion(TermMap):
         by single spaces; the unit word renders ``H[]`` and the zero
         expansion renders ``0``.
         """
-        return self._render(_word_sort_key, False, _word_body)
+        terms = self._terms
+        rendered = []
+        for length, words in self._graded(len, False):
+            fmt = "%+d·H[" + ",".join(["%d"] * length) + "]"
+            rendered.extend([fmt % (terms[word], *word) for word in words])
+        return " ".join(rendered) or "0"

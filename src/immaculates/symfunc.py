@@ -33,10 +33,6 @@ def _monomial_body(exps: tuple[int, ...]) -> str:
     )
 
 
-def _graded_lex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exps), exps)
-
-
 class Poly(TermMap):
     """Sparse polynomial with exact int coefficients in ``nvars`` variables."""
 
@@ -124,7 +120,12 @@ class Poly(TermMap):
         exponents and absent variables elided; a constant term is the
         bare signed coefficient and the zero polynomial is ``0``.
         """
-        return self._render(_graded_lex_key, True, _monomial_body)
+        terms = self._terms
+        return " ".join(
+            "%+d%s" % (terms[exps], _monomial_body(exps))
+            for _, group in self._graded(sum, True)
+            for exps in group
+        ) or "0"
 
 
 def h_poly(k: int, n: int) -> Poly:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the code paths they check: term
 survival is a raw permutation scan, the row-count condition has a
 literal all-subsets form, the repeated-row condition scans matrix
 rows instead of hat values, a polynomial is checked by evaluating it at
-integer points, and a term merge is summed in a ``Counter``.  Random
+integer points, a term merge is summed in a ``Counter``, and a render
+sorts with a Python key function and formats each term with an
+f-string.  Random
 streams are seeded so that every test module (and the acceptance suite)
 sees the same pairs.
 """
@@ -17,6 +19,7 @@ from collections import Counter
 from hypothesis import strategies as st
 
 from immaculates import enumerate_compositions, is_partition, nocancel_conditions_hold
+from immaculates.symfunc import _monomial_body
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
@@ -32,6 +35,10 @@ def equal_length_pairs(draw):
     return tuple(alpha), tuple(beta)
 
 
+# Nonzero coefficients up to 10**30 in size, so renders are checked on bigints.
+large_coefficients = st.integers(min_value=-(10**30), max_value=10**30).filter(bool)
+
+
 def evaluate_terms(pairs, point) -> int:
     """Oracle: the sum of ``coeff * prod(x_i ** e_i)`` over ``(exps, coeff)`` pairs."""
     return sum(
@@ -45,6 +52,34 @@ def merge_with_counter(pairs) -> dict:
     for key, coeff in pairs:
         totals[key] += coeff
     return {key: total for key, total in totals.items() if total}
+
+
+def concat(u, v):
+    """Concatenation product of two normalized words (noncommutative)."""
+    return tuple(u) + tuple(v)
+
+
+def render_by_key_sort(terms, order, reverse, body) -> str:
+    """Oracle: terms by ``order``, each ``{+|-}{|c|}`` then ``body(key)``; zero is ``0``."""
+    if not terms:
+        return "0"
+    return " ".join(
+        f"{'+' if (c := terms[key]) > 0 else '-'}{abs(c)}{body(key)}"
+        for key in sorted(terms, key=order, reverse=reverse)
+    )
+
+
+def render_words_by_key_sort(terms) -> str:
+    """Oracle for ``HExpansion.render``: by length, then lexicographically."""
+    return render_by_key_sort(
+        terms, lambda word: (len(word), word), False,
+        lambda word: f"·H[{','.join(map(str, word))}]",
+    )
+
+
+def render_poly_by_key_sort(terms) -> str:
+    """Oracle for ``Poly.render``: graded-lex order, largest terms first."""
+    return render_by_key_sort(terms, lambda exps: (sum(exps), exps), True, _monomial_body)
 
 
 def surviving_term_exists(matrix) -> bool:

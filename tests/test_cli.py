@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -15,6 +16,23 @@ def test_expand_skew(capsys):
     code, out, _ = run(capsys, "expand", "6,4,3", "--skew", "2,4,1")
     assert code == EXIT_OK
     assert out == "+1·H[4,2] -1·H[3,1,2]\n"
+
+
+EXPAND_STDOUT_SHA256 = {
+    # 8! = 40,320 terms of one length
+    ("8,8,8,8,8,8,8,8",): "07c4b83a73480e6b081d70327eaf79d2d480b89ce1a5c5a989e976997d20e5cc",
+    ("6,4,3", "--skew", "2,4,1"): "3cc7edd3a2db3b0c005eed0ca83a787e759c504c69a7d39f63442866896b7b44",
+    # word lengths 2 to 5, coefficients +-2, and H[6,7] before H[10,3]
+    ("7,4,2,7,2", "--skew", "3,2,2,1,1"):
+        "22fe18e6e4ace8f3b9d3553b6185ee8a1bdae9f15e8ee58f0d003a56ba68a8ec",
+}
+
+
+def test_expand_stdout_is_byte_stable(capsys):
+    for args, expected in EXPAND_STDOUT_SHA256.items():
+        code, out, _ = run(capsys, "expand", *args)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
 
 
 def test_expand_cancelling_pair(capsys):

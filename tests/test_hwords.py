@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from immaculates.hwords import HExpansion, concat, normalize_word
+from immaculates.hwords import HExpansion, normalize_word
 
-from support import merge_with_counter
+from support import concat, large_coefficients, merge_with_counter, render_words_by_key_sort
 
 subscripts = st.lists(st.integers(min_value=-3, max_value=6), max_size=6)
 
@@ -83,6 +83,20 @@ expansions = st.dictionaries(
 def test_render_is_injective(a, b):
     if a.render() == b.render():
         assert a == b
+
+
+# Subscripts 9..12 sort differently as numbers and as text.
+wide_word_terms = st.dictionaries(
+    st.lists(st.integers(min_value=1, max_value=12), max_size=5).map(tuple),
+    large_coefficients,
+    max_size=12,
+)
+
+
+@given(wide_word_terms)
+@example({})
+def test_render_matches_key_sort_oracle(terms):
+    assert HExpansion(terms).render() == render_words_by_key_sort(terms)
 
 
 def test_coefficient_lookup():

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from immaculates.hwords import HExpansion
 from immaculates.ndet import immaculate
@@ -17,7 +17,12 @@ from immaculates.symfunc import (
     schur_via_tableaux,
 )
 
-from support import evaluate_terms, partitions_up_to_weight
+from support import (
+    evaluate_terms,
+    large_coefficients,
+    partitions_up_to_weight,
+    render_poly_by_key_sort,
+)
 
 
 def poly_from(n, monomials):
@@ -52,6 +57,22 @@ def test_poly_arithmetic_and_render():
     assert Poly.zero(2).render() == "0"
     assert Poly.one(2).render() == "+1"
     assert (3 * p * p - q).render() == "+3·x1^2 -1·x2"
+
+
+@st.composite
+def wide_poly_terms(draw):
+    """(nvars, {exponents: coeff}) in 1..4 variables, exponents up to 11."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=11)] * n)
+    return n, draw(st.dictionaries(exps, large_coefficients, max_size=12))
+
+
+@given(wide_poly_terms())
+@example((1, {}))
+@example((3, {}))
+def test_poly_render_matches_key_sort_oracle(drawn):
+    n, terms = drawn
+    assert Poly(n, terms).render() == render_poly_by_key_sort(terms)
 
 
 def test_poly_repr():
