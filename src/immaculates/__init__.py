@@ -16,17 +16,10 @@ from .compositions import (
     pad_to_length,
     parse_parts,
     strip_trailing_zeros,
-    unhat,
 )
 from .errors import DimensionCapError, GreedyPreconditionError, LengthMismatchError
 from .hwords import HExpansion, normalize_word
-from .matrix import (
-    SubscriptMatrix,
-    build_matrix,
-    check_partition_row_monotonicity,
-    has_negative_crossing_violation,
-    sign_pattern,
-)
+from .matrix import SubscriptMatrix, build_matrix
 from .ndet import (
     DEFAULT_DIM_CAP,
     SignedSelection,
@@ -35,7 +28,6 @@ from .ndet import (
     ndet_permutation_sum,
     permutation_sign,
     skew_immaculate,
-    term_of_selection,
 )
 from .predicates import (
     Classification,
@@ -53,7 +45,6 @@ from .symfunc import (
     forgetful,
     generate_ssyt,
     h_poly,
-    m_poly,
     schur_decompose,
     schur_via_jacobi_trudi,
     schur_via_tableaux,

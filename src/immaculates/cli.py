@@ -1,7 +1,9 @@
 """Command-line drivers: expand, classify, enumerate, schur-check.
 
 Exit codes: 0 ok, 2 parse/argument error, 3 length mismatch, 4 output
-I/O failure, 5 identity mismatch.  The environment variable
+I/O failure, 5 identity mismatch.  An internal invariant failure such as
+GreedyPreconditionError is not caught, so Python exits 1 with a
+traceback instead of blaming the input.  The environment variable
 IMMACULATE_DIM_CAP, an integer of at least 1, overrides the dimension
 caps (default 10 for expand and classify, 7 for enumerate).
 """

@@ -11,6 +11,7 @@ expansions becomes a plain integer comparison.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import combinations
 
 Parts = tuple[int, ...]
 
@@ -60,11 +61,6 @@ def hat(parts: Iterable[int]) -> Parts:
     return tuple(p - i for i, p in enumerate(parts, start=1))
 
 
-def unhat(entries: Iterable[int]) -> Parts:
-    """Inverse of :func:`hat`; adds i back to the i-th entry."""
-    return tuple(e + i for i, e in enumerate(entries, start=1))
-
-
 def pad_to_length(parts: Iterable[int], length: int) -> Parts:
     """Append trailing zeros until ``length`` parts; rejects truncation."""
     parts = tuple(parts)
@@ -95,9 +91,7 @@ def enumerate_compositions(n: int, length: int) -> Iterator[Parts]:
     """
     if length < 1 or n < length:
         return
-    if length == 1:
-        yield (n,)
-        return
-    for first in range(1, n - length + 2):
-        for rest in enumerate_compositions(n - first, length - 1):
-            yield (first,) + rest
+    # a composition is its length-1 partial sums, cuts in 1..n-1; cuts in
+    # lexicographic order give compositions in lexicographic order
+    for cuts in combinations(range(1, n), length - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))

@@ -9,5 +9,9 @@ class DimensionCapError(ValueError):
     """Exact expansion refused above the configured dimension cap."""
 
 
-class GreedyPreconditionError(ValueError):
-    """Row conditions for the zero-capturing term construction were violated."""
+class GreedyPreconditionError(RuntimeError):
+    """The zero-capturing term construction found no row to take.
+
+    An internal invariant failure, not bad input: callers only build the
+    term for pairs whose no-cancellation conditions hold.
+    """

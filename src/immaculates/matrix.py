@@ -1,4 +1,4 @@
-"""Associated subscript matrices and their structural sign properties.
+"""Pair validation and the associated subscript matrix.
 
 The matrix attached to a pair (alpha, beta) of equal-length sequences has
 (i, j) entry (alpha_i - i) - (beta_j - j); its signs decide everything
@@ -10,12 +10,9 @@ the generator wrapper only exists at the algebra layer.  Indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .compositions import hat
 from .errors import LengthMismatchError
-
-SignPattern = tuple[tuple[bool, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -60,44 +57,3 @@ def build_matrix(alpha, beta) -> SubscriptMatrix:
     ahat, bhat = hat(alpha), hat(beta)
     entries = tuple(tuple(a - b for b in bhat) for a in ahat)
     return SubscriptMatrix(alpha, beta, entries)
-
-
-def sign_pattern(m: SubscriptMatrix) -> SignPattern:
-    """Pointwise nonnegativity pattern of the subscripts."""
-    return tuple(tuple(e >= 0 for e in row) for row in m.entries)
-
-
-def has_negative_crossing_violation(pattern) -> bool:
-    """Scan every 2x2 submatrix of a sign pattern for a crossing.
-
-    With True marking a nonnegative subscript, the two forbidden 2x2
-    configurations are (F,T / T,F) and (T,F / F,T): a negative pair on
-    one diagonal facing a nonnegative pair on the other.  Associated
-    matrices never contain one; hand-built patterns may, which is why
-    this takes a pattern (possibly rectangular) rather than a matrix.
-    """
-    rows = [tuple(bool(x) for x in row) for row in pattern]
-    if not rows:
-        return False
-    width = len(rows[0])
-    for upper, lower in combinations(rows, 2):
-        for cm, cn in combinations(range(width), 2):
-            a, b = upper[cm], upper[cn]
-            c, d = lower[cm], lower[cn]
-            if (not a) and b and c and (not d):
-                return True
-            if a and (not b) and (not c) and d:
-                return True
-    return False
-
-
-def check_partition_row_monotonicity(m: SubscriptMatrix) -> bool:
-    """True iff subscripts strictly increase left to right in every row.
-
-    Holds whenever the skewing sequence is a partition (its staircase
-    shift strictly decreases), and fails for many non-partition skews.
-    """
-    return all(
-        all(row[j] < row[j + 1] for j in range(len(row) - 1))
-        for row in m.entries
-    )

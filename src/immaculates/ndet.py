@@ -17,8 +17,8 @@ import operator
 from typing import NamedTuple
 
 from .compositions import is_composition
-from .errors import DimensionCapError, LengthMismatchError
-from .hwords import HExpansion, add_product, normalize_word
+from .errors import DimensionCapError
+from .hwords import HExpansion, add_product
 from .matrix import SubscriptMatrix, build_matrix
 
 # l! terms beyond this exceed desk scale; the CLI can override via env.
@@ -135,21 +135,3 @@ def immaculate(mu, cap=DEFAULT_DIM_CAP) -> HExpansion:
     if not is_composition(mu):
         raise ValueError(f"index must be a composition (positive parts): {mu!r}")
     return skew_immaculate(mu, (0,) * len(mu), cap=cap)
-
-
-def term_of_selection(m: SubscriptMatrix, selection: SignedSelection):
-    """Signed normalized word for one column selection, or None if it dies.
-
-    Factors are ordered by increasing row index; the result is absent
-    exactly when some selected subscript is negative.
-    """
-    cols = tuple(selection.column_of_row)
-    if len(cols) != m.dim:
-        raise LengthMismatchError(
-            f"selection over {len(cols)} rows does not fit a {m.dim}x{m.dim} matrix"
-        )
-    raw = [m.entries[i][cols[i] - 1] for i in range(m.dim)]
-    word = normalize_word(raw)
-    if word is None:
-        return None
-    return selection.sign, word

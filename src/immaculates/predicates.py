@@ -161,9 +161,12 @@ def greedy_h0_term(m: SubscriptMatrix):
     each step picks a row whose remaining entries are all nonnegative,
     preferring one that still contains a zero, else the topmost, and
     assigns it the current leftmost column.  Returns (sign, word,
-    selection).  Raises GreedyPreconditionError if the row-count
-    condition fails on any intermediate submatrix, which cannot happen
-    when the no-cancellation conditions hold for the source pair.
+    selection).  Raises GreedyPreconditionError if no remaining row is
+    fully nonnegative at some step, which cannot happen when the
+    no-cancellation conditions hold for the source pair.  The live
+    submatrix needs no counting test of its own: its nonnegative entries
+    still form a Ferrers board, so when that test fails no matching is
+    left and a later step finds no row to take.
     """
     entries = m.entries
     l = m.dim
@@ -171,22 +174,15 @@ def greedy_h0_term(m: SubscriptMatrix):
     column_of_row = [0] * l
     raw = [0] * l
     for col in range(l):
-        live_counts = [
-            sum(1 for j in range(col, l) if entries[i][j] >= 0) for i in remaining
-        ]
-        if not _sorted_counts_admissible(live_counts):
-            raise GreedyPreconditionError(
-                f"row-count condition fails on the submatrix at column {col + 1}"
-            )
-        full = [
-            i for i in remaining if all(entries[i][j] >= 0 for j in range(col, l))
-        ]
+        # a row's smallest live entry says both whether it is fully
+        # nonnegative (>= 0) and whether it then holds a zero (== 0)
+        low = {i: min(entries[i][col:]) for i in remaining}
+        full = [i for i in remaining if low[i] >= 0]
         if not full:
             raise GreedyPreconditionError(
                 f"no fully nonnegative row remains at column {col + 1}"
             )
-        with_zero = [i for i in full if any(entries[i][j] == 0 for j in range(col, l))]
-        pick = with_zero[0] if with_zero else full[0]
+        pick = next((i for i in full if low[i] == 0), full[0])
         column_of_row[pick] = col + 1
         raw[pick] = entries[pick][col]
         remaining.remove(pick)

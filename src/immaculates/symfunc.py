@@ -1,8 +1,8 @@
 """Commutative symmetric polynomials used as a cross-validation oracle.
 
-Complete homogeneous and monomial polynomials, semistandard tableaux
-(French notation: bottom row first, rows weakly increase, columns
-strictly increase upward), Schur polynomials computed both from tableaux
+Complete homogeneous polynomials, semistandard tableaux (French
+notation: bottom row first, rows weakly increase, columns strictly
+increase upward), Schur polynomials computed both from tableaux
 and from the classical determinant formula, and the projection that
 forgets noncommutativity by sending each generator subscript a to the
 complete homogeneous polynomial of degree a.
@@ -105,14 +105,6 @@ class Poly(TermMap):
 
     __rmul__ = __mul__
 
-    def permute_variables(self, perm) -> "Poly":
-        """Relabel variables: new exponent i is the old exponent perm[i]."""
-        perm = tuple(perm)
-        return Poly(
-            self.nvars,
-            {tuple(e[p] for p in perm): c for e, c in self._terms.items()},
-        )
-
     def render(self) -> str:
         """Deterministic text form: graded-lex order, largest terms first.
 
@@ -145,19 +137,6 @@ def h_poly(k: int, n: int) -> Poly:
             exps[i] += 1
         terms[tuple(exps)] = 1
     return Poly._of(n, terms)
-
-
-def m_poly(lam, n: int) -> Poly:
-    """Monomial symmetric polynomial: all distinct rearrangements of lam."""
-    lam = tuple(int(p) for p in lam)
-    if not is_partition(lam):
-        raise ValueError(f"index must be a partition: {lam!r}")
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if len(lam) > n:
-        return Poly.zero(n)
-    padded = lam + (0,) * (n - len(lam))
-    return Poly(n, {exps: 1 for exps in set(itertools.permutations(padded))})
 
 
 class Tableau(NamedTuple):

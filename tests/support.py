@@ -4,11 +4,14 @@ The oracles here deliberately avoid the code paths they check: term
 survival is a raw permutation scan, the row-count condition has a
 literal all-subsets form, the repeated-row condition scans matrix
 rows instead of hat values, a polynomial is checked by evaluating it at
-integer points, a term merge is summed in a ``Counter``, and a render
+integer points, a term merge is summed in a ``Counter``, a render
 sorts with a Python key function and formats each term with an
-f-string.  Random
-streams are seeded so that every test module (and the acceptance suite)
-sees the same pairs.
+f-string, and the greedy witness reruns the counting test on every live
+submatrix.  The
+structural checks on sign patterns, the per-selection term, ``unhat``,
+monomial polynomials and variable relabelling live here too: only the
+tests use them.  Random streams are seeded so that every test module
+(and the acceptance suite) sees the same pairs.
 """
 
 import itertools
@@ -19,7 +22,12 @@ from collections import Counter
 from hypothesis import strategies as st
 
 from immaculates import enumerate_compositions, is_partition, nocancel_conditions_hold
-from immaculates.symfunc import _monomial_body
+from immaculates.errors import GreedyPreconditionError, LengthMismatchError
+from immaculates.hwords import normalize_word
+from immaculates.matrix import SubscriptMatrix
+from immaculates.ndet import SignedSelection
+from immaculates.predicates import _sorted_counts_admissible
+from immaculates.symfunc import Poly, _monomial_body
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
@@ -182,3 +190,131 @@ def structural_random_partition_pairs(count=2000, lengths=(2, 3, 4, 5, 6), hi=10
     for _ in range(count):
         length = rng.choice(lengths)
         yield random_composition(rng, length, hi), random_partition(rng, length, hi)
+
+
+def unhat(entries):
+    """Inverse of ``hat``; adds i back to the i-th entry."""
+    return tuple(e + i for i, e in enumerate(entries, start=1))
+
+
+def sign_pattern(m: SubscriptMatrix) -> tuple[tuple[bool, ...], ...]:
+    """Pointwise nonnegativity pattern of the subscripts."""
+    return tuple(tuple(e >= 0 for e in row) for row in m.entries)
+
+
+def has_negative_crossing_violation(pattern) -> bool:
+    """Scan every 2x2 submatrix of a sign pattern for a crossing.
+
+    With True marking a nonnegative subscript, the two forbidden 2x2
+    configurations are (F,T / T,F) and (T,F / F,T): a negative pair on
+    one diagonal facing a nonnegative pair on the other.  Associated
+    matrices never contain one; hand-built patterns may, which is why
+    this takes a pattern (possibly rectangular) rather than a matrix.
+    """
+    rows = [tuple(bool(x) for x in row) for row in pattern]
+    if not rows:
+        return False
+    width = len(rows[0])
+    for upper, lower in itertools.combinations(rows, 2):
+        for cm, cn in itertools.combinations(range(width), 2):
+            a, b = upper[cm], upper[cn]
+            c, d = lower[cm], lower[cn]
+            if (not a) and b and c and (not d):
+                return True
+            if a and (not b) and (not c) and d:
+                return True
+    return False
+
+
+def check_partition_row_monotonicity(m: SubscriptMatrix) -> bool:
+    """True iff subscripts strictly increase left to right in every row.
+
+    Holds whenever the skewing sequence is a partition (its staircase
+    shift strictly decreases), and fails for many non-partition skews.
+    """
+    return all(
+        all(row[j] < row[j + 1] for j in range(len(row) - 1))
+        for row in m.entries
+    )
+
+
+def term_of_selection(m: SubscriptMatrix, selection: SignedSelection):
+    """Signed normalized word for one column selection, or None if it dies.
+
+    Factors are ordered by increasing row index; the result is absent
+    exactly when some selected subscript is negative.
+    """
+    cols = tuple(selection.column_of_row)
+    if len(cols) != m.dim:
+        raise LengthMismatchError(
+            f"selection over {len(cols)} rows does not fit a {m.dim}x{m.dim} matrix"
+        )
+    raw = [m.entries[i][cols[i] - 1] for i in range(m.dim)]
+    word = normalize_word(raw)
+    if word is None:
+        return None
+    return selection.sign, word
+
+
+def m_poly(lam, n: int) -> Poly:
+    """Monomial symmetric polynomial: all distinct rearrangements of lam."""
+    lam = tuple(int(p) for p in lam)
+    if not is_partition(lam):
+        raise ValueError(f"index must be a partition: {lam!r}")
+    if n < 1:
+        raise ValueError("need at least one variable")
+    if len(lam) > n:
+        return Poly.zero(n)
+    padded = lam + (0,) * (n - len(lam))
+    return Poly(n, {exps: 1 for exps in set(itertools.permutations(padded))})
+
+
+def permute_variables(p: Poly, perm) -> Poly:
+    """Relabel variables: new exponent i is the old exponent perm[i]."""
+    perm = tuple(perm)
+    return Poly(
+        p.nvars,
+        {tuple(e[i] for i in perm): c for e, c in p.items()},
+    )
+
+
+def greedy_by_recount(m: SubscriptMatrix):
+    """Oracle for ``greedy_h0_term``: reruns the counting test on every live submatrix.
+
+    Working on the live submatrix (columns are consumed left to right),
+    each step picks a row whose remaining entries are all nonnegative,
+    preferring one that still contains a zero, else the topmost, and
+    assigns it the current leftmost column.  Returns (sign, word,
+    selection).  Raises GreedyPreconditionError if the row-count
+    condition fails on any intermediate submatrix, which cannot happen
+    when the no-cancellation conditions hold for the source pair.
+    """
+    entries = m.entries
+    l = m.dim
+    remaining = list(range(l))
+    column_of_row = [0] * l
+    raw = [0] * l
+    for col in range(l):
+        live_counts = [
+            sum(1 for j in range(col, l) if entries[i][j] >= 0) for i in remaining
+        ]
+        if not _sorted_counts_admissible(live_counts):
+            raise GreedyPreconditionError(
+                f"row-count condition fails on the submatrix at column {col + 1}"
+            )
+        full = [
+            i for i in remaining if all(entries[i][j] >= 0 for j in range(col, l))
+        ]
+        if not full:
+            raise GreedyPreconditionError(
+                f"no fully nonnegative row remains at column {col + 1}"
+            )
+        with_zero = [i for i in full if any(entries[i][j] == 0 for j in range(col, l))]
+        pick = with_zero[0] if with_zero else full[0]
+        column_of_row[pick] = col + 1
+        raw[pick] = entries[pick][col]
+        remaining.remove(pick)
+    word = normalize_word(raw)
+    assert word is not None  # selected subscripts are nonnegative by construction
+    selection = SignedSelection.from_columns(column_of_row)
+    return selection.sign, word, selection

@@ -11,18 +11,12 @@ from collections import Counter
 
 from immaculates.cli import main
 from immaculates.hwords import HExpansion
-from immaculates.matrix import (
-    build_matrix,
-    check_partition_row_monotonicity,
-    has_negative_crossing_violation,
-    sign_pattern,
-)
+from immaculates.matrix import build_matrix
 from immaculates.ndet import (
     SignedSelection,
     ndet_laplace,
     ndet_permutation_sum,
     skew_immaculate,
-    term_of_selection,
 )
 from immaculates.predicates import (
     Outcome,
@@ -36,7 +30,10 @@ from immaculates.symfunc import forgetful, schur_decompose, schur_via_jacobi_tru
 from immaculates.ndet import immaculate
 
 from support import (
+    check_partition_row_monotonicity,
+    has_negative_crossing_violation,
     partitions_up_to_weight,
+    sign_pattern,
     structural_random_pairs,
     structural_random_partition_pairs,
     suite2_exhaustive_pairs,
@@ -44,6 +41,7 @@ from support import (
     suite3_exhaustive_pairs,
     suite3_random_nocancel_pairs,
     surviving_term_exists,
+    term_of_selection,
 )
 
 

@@ -2,7 +2,11 @@ import hashlib
 import json
 import random
 
+import pytest
+
+from immaculates import predicates
 from immaculates.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SHAPE, main
+from immaculates.errors import GreedyPreconditionError
 from immaculates.predicates import classify, format_certificate
 
 
@@ -96,6 +100,15 @@ def test_classify_lines(capsys):
     assert (code, out) == (EXIT_OK, "PROVABLY_NONZERO 1->1,2->3,3->2\n")
     code, out, _ = run(capsys, "classify", "9,5,5", "2,5,6")
     assert (code, out) == (EXIT_OK, "ZERO_AFTER_CANCELLATION\n")
+
+
+def test_internal_invariant_failure_is_not_a_parse_error(monkeypatch):
+    def fail(matrix):
+        raise GreedyPreconditionError("injected")
+
+    monkeypatch.setattr(predicates, "greedy_h0_term", fail)
+    with pytest.raises(GreedyPreconditionError):
+        main(["classify", "10,7,9", "9,8,5"])
 
 
 def test_schur_check_match(capsys):

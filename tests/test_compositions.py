@@ -14,8 +14,9 @@ from immaculates.compositions import (
     pad_to_length,
     parse_parts,
     strip_trailing_zeros,
-    unhat,
 )
+
+from support import unhat
 
 
 def test_hat_worked_examples():
@@ -48,6 +49,8 @@ def test_enumerate_small_listings():
     assert list(enumerate_compositions(3, 2)) == [(1, 2), (2, 1)]
     assert list(enumerate_compositions(4, 1)) == [(4,)]
     assert list(enumerate_compositions(2, 3)) == []
+    assert list(enumerate_compositions(3, 0)) == []
+    assert list(enumerate_compositions(3, -1)) == []
 
 
 def test_enumerate_count_matches_stars_and_bars():
@@ -58,13 +61,14 @@ def test_enumerate_count_matches_stars_and_bars():
     assert comps == sorted(comps)
 
 
-@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=5))
+@given(st.integers(min_value=1, max_value=14), st.integers(min_value=1, max_value=8))
 def test_enumerate_count_property(n, length):
     comps = list(enumerate_compositions(n, length))
     expected = math.comb(n - 1, length - 1) if n >= length else 0
     assert len(comps) == expected
     assert len(set(comps)) == len(comps)
     assert all(sum(c) == n for c in comps)
+    assert comps == sorted(comps)
 
 
 def test_pad_to_length():

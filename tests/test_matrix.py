@@ -3,14 +3,15 @@ import itertools
 import pytest
 
 from immaculates.errors import LengthMismatchError
-from immaculates.matrix import (
-    build_matrix,
+from immaculates.matrix import build_matrix
+
+from support import (
     check_partition_row_monotonicity,
     has_negative_crossing_violation,
     sign_pattern,
+    structural_random_pairs,
+    structural_random_partition_pairs,
 )
-
-from support import structural_random_pairs, structural_random_partition_pairs
 
 
 def test_build_matrix_displayed_examples():

@@ -14,10 +14,14 @@ from immaculates.ndet import (
     ndet_permutation_sum,
     permutation_sign,
     skew_immaculate,
-    term_of_selection,
 )
 
-from support import compositions_up_to_weight, equal_length_pairs, random_composition
+from support import (
+    compositions_up_to_weight,
+    equal_length_pairs,
+    random_composition,
+    term_of_selection,
+)
 
 
 def test_permutation_sign():

@@ -25,6 +25,7 @@ from immaculates.predicates import (
 from support import (
     condition1_all_subsets,
     equal_length_pairs,
+    greedy_by_recount,
     no_repeated_zero_row_scan,
     random_composition,
     surviving_term_exists,
@@ -169,6 +170,24 @@ def test_greedy_covers_every_zero_and_appears_in_expansion():
 def test_greedy_reports_violation_when_preconditions_fail():
     with pytest.raises(GreedyPreconditionError):
         greedy_h0_term(build_matrix((1, 1), (5, 5)))
+
+
+def _greedy_outcome(greedy, matrix):
+    try:
+        sign, word, selection = greedy(matrix)
+    except GreedyPreconditionError:
+        return None
+    return sign, word, selection.column_of_row
+
+
+@given(equal_length_pairs())
+def test_greedy_matches_recount_oracle(pair):
+    alpha, beta = pair
+    for skew in (beta, tuple(sorted(beta, reverse=True))):
+        matrix = build_matrix(alpha, skew)
+        assert _greedy_outcome(greedy_h0_term, matrix) == _greedy_outcome(
+            greedy_by_recount, matrix
+        )
 
 
 def test_classify_worked_examples():

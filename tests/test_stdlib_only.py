@@ -1,10 +1,11 @@
-"""The package keeps its promise of no runtime dependencies."""
+"""The package keeps its promises of no runtime dependencies and Python 3.10."""
 
 import ast
 import sys
 from pathlib import Path
 
-PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "immaculates"
+REPO_DIR = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = REPO_DIR / "src" / "immaculates"
 
 
 def test_package_imports_only_stdlib_or_relative():
@@ -25,3 +26,15 @@ def test_package_imports_only_stdlib_or_relative():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert not foreign
+
+
+def test_sources_parse_as_python_3_10():
+    # the package declares requires-python >= 3.10; this catches newer syntax
+    sources = [
+        path
+        for top in (PACKAGE_DIR, REPO_DIR / "tests", REPO_DIR / "perfbench")
+        for path in sorted(top.rglob("*.py"))
+    ]
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -11,7 +11,6 @@ from immaculates.symfunc import (
     forgetful,
     generate_ssyt,
     h_poly,
-    m_poly,
     schur_decompose,
     schur_via_jacobi_trudi,
     schur_via_tableaux,
@@ -20,7 +19,9 @@ from immaculates.symfunc import (
 from support import (
     evaluate_terms,
     large_coefficients,
+    m_poly,
     partitions_up_to_weight,
+    permute_variables,
     render_poly_by_key_sort,
 )
 
@@ -206,7 +207,7 @@ def test_symmetry_under_variable_swap():
         schur_via_tableaux((2, 2), (1,), 3),
         schur_via_jacobi_trudi((3, 1), (), 3),
     ):
-        assert p.permute_variables(swap) == p
+        assert permute_variables(p, swap) == p
 
 
 def test_forgetful_examples():
