@@ -81,8 +81,13 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def census_records(n: int, length: int, partitions_only: bool, cap: int, timings: bool):
-    """One record per pair of weight-n length-`length` sequences, lex order."""
+def census_records(n: int, length: int, partitions_only: bool, timings: bool):
+    """One record per pair of weight-n length-`length` sequences, lex order.
+
+    Every matrix has dimension ``length``, which the caller already holds
+    to the length cap, so the exact expansion always runs, capped at that
+    dimension.
+    """
     betas = [
         b
         for b in enumerate_compositions(n, length)
@@ -91,16 +96,11 @@ def census_records(n: int, length: int, partitions_only: bool, cap: int, timings
     for alpha in enumerate_compositions(n, length):
         for beta in betas:
             started = time.perf_counter_ns() if timings else 0
-            result = classify(alpha, beta, oracle_cap=cap)
-            if result.outcome in (
-                Outcome.ALL_ZERO_PRE_CANCELLATION,
-                Outcome.ZERO_AFTER_CANCELLATION,
-            ):
-                terms = 0
-            elif result.outcome is Outcome.NONZERO_TERM_EXISTS and result.witness is not None:
-                terms = len(result.witness)
+            result = classify(alpha, beta, oracle_cap=length)
+            if result.outcome is Outcome.PROVABLY_NONZERO:
+                terms = len(skew_immaculate(alpha, beta, cap=length))
             else:
-                terms = len(skew_immaculate(alpha, beta, cap=cap))
+                terms = len(result.witness) if result.witness is not None else 0
             micros = (time.perf_counter_ns() - started) // 1000 if timings else 0
             yield {
                 "alpha": format_parts(alpha),
@@ -144,7 +144,7 @@ def _cmd_enumerate(args) -> int:
             yield rec
 
     records = counted(
-        census_records(args.n, args.length, args.partitions_only, length_cap, args.timings)
+        census_records(args.n, args.length, args.partitions_only, args.timings)
     )
     if args.out is not None:
         try:

@@ -8,10 +8,10 @@ columns), and the tests that decide a pair before cancellation read only
 the two hat sequences:
 
 * on a Ferrers board, Hall's condition for a row-to-column matching over
-  nonnegative subscripts is a single counting test: the ascending row
-  counts satisfy c_(k) >= k.  Its failure proves every determinant term
-  vanishes (pigeonhole); otherwise an explicit matching certifies a
-  surviving term;
+  nonnegative subscripts is a single counting test, sorted dominance:
+  the k-th smallest ahat is at least the k-th smallest bhat for every k.
+  Its failure proves every determinant term vanishes (pigeonhole);
+  otherwise an explicit matching certifies a surviving term;
 * for skews by partitions, the no-cancellation conditions are that
   counting test plus "no value of ahat occurs twice and also lies in
   bhat": two rows are identical iff their ahat values are equal, and a
@@ -26,7 +26,7 @@ though the classical statements concern positive parts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -71,16 +71,11 @@ def _hat_pair(alpha, beta):
     return hat(alpha), hat(beta)
 
 
-def _row_nonneg_counts(ahat, bhat) -> list[int]:
-    # row i is nonnegative exactly on the columns with bhat_j <= ahat_i
-    ordered = sorted(bhat)
-    return [bisect_right(ordered, a) for a in ahat]
-
-
-def _sorted_counts_admissible(counts) -> bool:
-    # ascending k-th smallest count must reach k: the worst k-subset of
-    # rows is the k smallest counts, and it needs one row with >= k
-    return all(c >= k for k, c in enumerate(sorted(counts), start=1))
+def _dominates(ahat, bhat) -> bool:
+    # row i is nonnegative on the columns with bhat_j <= ahat_i, so the
+    # k rows of smallest ahat reach k columns iff the k-th smallest ahat
+    # is at least the k-th smallest bhat
+    return all(map(operator.ge, sorted(ahat), sorted(bhat)))
 
 
 def _no_repeated_zero_row(ahat, bhat) -> bool:
@@ -91,13 +86,14 @@ def _no_repeated_zero_row(ahat, bhat) -> bool:
 def necessary_condition_holds(alpha, beta) -> bool:
     """Counting condition necessary for a surviving determinant term.
 
-    Every k rows must include one with at least k nonnegative subscripts,
-    which on these threshold rows means the k-th smallest row count is at
-    least k.  If it fails, k rows squeeze all their nonnegative entries
-    into fewer than k columns and pigeonhole kills every term; if it
-    holds, Hall's theorem gives a matching of nonnegative entries.
+    Every k rows must include one with at least k nonnegative subscripts.
+    Row i is nonnegative exactly where bhat_j <= ahat_i, so this means the
+    k-th smallest ahat is at least the k-th smallest bhat for every k.  If
+    it fails, k rows squeeze all their nonnegative entries into fewer than
+    k columns and pigeonhole kills every term; if it holds, Hall's theorem
+    gives a matching of nonnegative entries.
     """
-    return _sorted_counts_admissible(_row_nonneg_counts(*_hat_pair(alpha, beta)))
+    return _dominates(*_hat_pair(alpha, beta))
 
 
 def find_matching_certificate(m: SubscriptMatrix) -> tuple[int, ...] | None:
@@ -150,8 +146,7 @@ def nocancel_conditions_hold(alpha, lam) -> bool:
             f"skewing sequence must be a partition up to trailing zeros: {lam!r}"
         )
     ahat, bhat = _hat_pair(alpha, lam)
-    counts_ok = _sorted_counts_admissible(_row_nonneg_counts(ahat, bhat))
-    return counts_ok and _no_repeated_zero_row(ahat, bhat)
+    return _dominates(ahat, bhat) and _no_repeated_zero_row(ahat, bhat)
 
 
 def greedy_h0_term(m: SubscriptMatrix):
@@ -205,7 +200,7 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     """
     alpha, beta = validate_pair(alpha, beta)
     ahat, bhat = hat(alpha), hat(beta)
-    if not _sorted_counts_admissible(_row_nonneg_counts(ahat, bhat)):
+    if not _dominates(ahat, bhat):
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
     matrix = build_matrix(alpha, beta)
     # condition (1) of the no-cancellation class is the test just passed

@@ -18,7 +18,7 @@ import operator
 from collections import Counter
 from typing import NamedTuple
 
-from .compositions import is_partition
+from .compositions import is_partition, is_zero_padded_partition
 from .hwords import HExpansion, TermMap, add_product, add_terms
 from .ndet import _layered_laplace
 
@@ -163,9 +163,7 @@ def _check_skew_shape(outer, inner):
     inner = tuple(int(p) for p in inner)
     if outer and not is_partition(outer):
         raise ValueError(f"outer shape must be a partition: {outer!r}")
-    if any(p < 0 for p in inner) or any(
-        inner[i] < inner[i + 1] for i in range(len(inner) - 1)
-    ):
+    if not is_zero_padded_partition(inner):
         raise ValueError(f"inner shape must weakly decrease: {inner!r}")
     if len(inner) > len(outer):
         raise ValueError(f"inner shape {inner!r} is longer than outer {outer!r}")
@@ -281,7 +279,7 @@ def schur_decompose(p: Poly) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
     while not remainder.is_zero():
         lead = max(remainder.exponents())
-        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
+        if not is_zero_padded_partition(lead):
             raise ValueError(
                 f"not in the span of Schur polynomials: leading exponent {lead!r}"
             )

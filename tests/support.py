@@ -1,13 +1,15 @@
 """Shared generators and independent brute-force oracles for the suite.
 
-The oracles here deliberately avoid the code paths they check: term
-survival is a raw permutation scan, the row-count condition has a
-literal all-subsets form, the repeated-row condition scans matrix
-rows instead of hat values, a polynomial is checked by evaluating it at
-integer points, a term merge is summed in a ``Counter``, a render
-sorts with a Python key function and formats each term with an
-f-string, and the greedy witness reruns the counting test on every live
-submatrix.  The
+The oracles here deliberately avoid the code paths they check and
+import no private name of the package: term survival is a raw
+permutation scan, the counting test has a literal all-subsets form over
+matrix row counts, the repeated-row condition scans matrix rows instead
+of hat values, a polynomial is checked by evaluating it at integer
+points, a term merge is summed in a ``Counter``, a render sorts with a
+Python key function and formats each term with an f-string (monomials
+through this module's own copy of the formatter, so that a rewrite in
+the package is checked against it), and the greedy witness reruns the
+all-subsets test on every live submatrix.  The
 structural checks on sign patterns, the per-selection term, ``unhat``,
 monomial polynomials and variable relabelling live here too: only the
 tests use them.  Random streams are seeded so that every test module
@@ -26,8 +28,7 @@ from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import normalize_word
 from immaculates.matrix import SubscriptMatrix
 from immaculates.ndet import SignedSelection
-from immaculates.predicates import _sorted_counts_admissible
-from immaculates.symfunc import Poly, _monomial_body
+from immaculates.symfunc import Poly
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
@@ -85,9 +86,16 @@ def render_words_by_key_sort(terms) -> str:
     )
 
 
+def monomial_body(exps) -> str:
+    """Oracle: ``·x{i}`` or ``·x{i}^{e}`` for each nonzero exponent, in variable order."""
+    return "".join(
+        f"·x{i}" if e == 1 else f"·x{i}^{e}" for i, e in enumerate(exps, start=1) if e
+    )
+
+
 def render_poly_by_key_sort(terms) -> str:
     """Oracle for ``Poly.render``: graded-lex order, largest terms first."""
-    return render_by_key_sort(terms, lambda exps: (sum(exps), exps), True, _monomial_body)
+    return render_by_key_sort(terms, lambda exps: (sum(exps), exps), True, monomial_body)
 
 
 def surviving_term_exists(matrix) -> bool:
@@ -298,7 +306,7 @@ def greedy_by_recount(m: SubscriptMatrix):
         live_counts = [
             sum(1 for j in range(col, l) if entries[i][j] >= 0) for i in remaining
         ]
-        if not _sorted_counts_admissible(live_counts):
+        if not condition1_all_subsets(live_counts):
             raise GreedyPreconditionError(
                 f"row-count condition fails on the submatrix at column {col + 1}"
             )

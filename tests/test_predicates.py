@@ -12,8 +12,8 @@ from immaculates.ndet import ndet_permutation_sum
 from immaculates.predicates import (
     Classification,
     Outcome,
+    _dominates,
     _no_repeated_zero_row,
-    _row_nonneg_counts,
     classify,
     find_matching_certificate,
     format_certificate,
@@ -45,20 +45,21 @@ def test_necessary_condition_rejects_length_mismatch():
         necessary_condition_holds((1, 2), (1,))
 
 
-def test_row_nonneg_counts():
-    def counts(alpha, beta):
-        return _row_nonneg_counts(hat(alpha), hat(beta))
+def test_dominates_worked_examples():
+    def dominates(alpha, beta):
+        return _dominates(hat(alpha), hat(beta))
 
-    assert counts((10, 7, 9), (9, 8, 5)) == [3, 1, 2]
-    assert counts((6, 4, 3), (2, 4, 1)) == [3, 3, 1]
-    assert counts((1, 1), (5, 5)) == [0, 0]
+    # row counts (3, 1, 2) and (3, 3, 1) pass; (0, 0) fails
+    assert dominates((10, 7, 9), (9, 8, 5))
+    assert dominates((6, 4, 3), (2, 4, 1))
+    assert not dominates((1, 1), (5, 5))
 
 
 @given(equal_length_pairs())
-def test_row_nonneg_counts_match_matrix_rows(pair):
+def test_dominates_matches_all_subsets_of_matrix_rows(pair):
     alpha, beta = pair
     literal = [sum(1 for e in row if e >= 0) for row in build_matrix(alpha, beta).entries]
-    assert _row_nonneg_counts(hat(alpha), hat(beta)) == literal
+    assert _dominates(hat(alpha), hat(beta)) == condition1_all_subsets(literal)
 
 
 @given(equal_length_pairs())

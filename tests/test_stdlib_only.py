@@ -1,4 +1,5 @@
-"""The package keeps its promises of no runtime dependencies and Python 3.10."""
+"""The package keeps its promises of no runtime dependencies and Python 3.10,
+and the test oracles stay independent of the package's private helpers."""
 
 import ast
 import sys
@@ -38,3 +39,17 @@ def test_sources_parse_as_python_3_10():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_support_oracles_import_no_private_names():
+    # an oracle that imports a private helper checks that helper against itself
+    tree = ast.parse((REPO_DIR / "tests" / "support.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "immaculates"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
