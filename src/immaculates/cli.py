@@ -20,14 +20,21 @@ import time
 from .compositions import (
     enumerate_compositions,
     format_parts,
+    hat,
     is_partition,
     pad_to_length,
     parse_parts,
 )
 from .errors import LengthMismatchError
 from .matrix import build_matrix
-from .ndet import DEFAULT_DIM_CAP, ndet_laplace, skew_immaculate
-from .predicates import Outcome, classify, format_certificate
+from .ndet import DEFAULT_DIM_CAP, ndet_laplace
+from .predicates import (
+    Outcome,
+    _classify_dominating,
+    _dominates_sorted,
+    classify,
+    format_certificate,
+)
 from .symfunc import schur_via_jacobi_trudi, schur_via_tableaux
 
 EXIT_OK = 0
@@ -84,33 +91,45 @@ def _cmd_classify(args) -> int:
 def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     """One record per pair of weight-n length-`length` sequences, lex order.
 
+    Each composition is formatted, hatted and sorted once.  A pair that
+    fails the counting test on the sorted hats is recorded as
+    ALL_ZERO_PRE_CANCELLATION without a matrix; every other pair builds
+    its matrix once and goes through the rest of the classification.
     Every matrix has dimension ``length``, which the caller already holds
     to the length cap, so the exact expansion always runs, capped at that
     dimension.
     """
-    betas = [
-        b
-        for b in enumerate_compositions(n, length)
-        if not partitions_only or is_partition(b)
-    ]
-    for alpha in enumerate_compositions(n, length):
-        for beta in betas:
-            started = time.perf_counter_ns() if timings else 0
-            result = classify(alpha, beta, oracle_cap=length)
-            if result.outcome is Outcome.PROVABLY_NONZERO:
-                terms = len(skew_immaculate(alpha, beta, cap=length))
-            else:
-                terms = len(result.witness) if result.witness is not None else 0
-            micros = (time.perf_counter_ns() - started) // 1000 if timings else 0
-            yield {
-                "alpha": format_parts(alpha),
-                "beta": format_parts(beta),
-                "class": result.outcome.value,
-                "certificate": (
+    compositions = []
+    for c in enumerate_compositions(n, length):
+        h = hat(c)
+        compositions.append((c, format_parts(c), h, sorted(h)))
+    betas = [row for row in compositions if not partitions_only or is_partition(row[0])]
+    all_zero = Outcome.ALL_ZERO_PRE_CANCELLATION.value
+    clock = time.perf_counter_ns
+    for alpha, alpha_text, ahat, ahat_sorted in compositions:
+        for beta, beta_text, bhat, bhat_sorted in betas:
+            started = clock() if timings else 0
+            if _dominates_sorted(ahat_sorted, bhat_sorted):
+                matrix = build_matrix(alpha, beta)
+                result = _classify_dominating(matrix, ahat, bhat, length)
+                if result.outcome is Outcome.PROVABLY_NONZERO:
+                    terms = len(ndet_laplace(matrix, cap=length))
+                else:
+                    terms = len(result.witness) if result.witness is not None else 0
+                outcome = result.outcome.value
+                certificate = (
                     format_certificate(result.certificate)
                     if result.certificate is not None
                     else None
-                ),
+                )
+            else:
+                outcome, certificate, terms = all_zero, None, 0
+            micros = (clock() - started) // 1000 if timings else 0
+            yield {
+                "alpha": alpha_text,
+                "beta": beta_text,
+                "class": outcome,
+                "certificate": certificate,
                 "terms": terms,
                 "micros": micros,
             }

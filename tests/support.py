@@ -9,7 +9,8 @@ points, a term merge is summed in a ``Counter``, a render sorts with a
 Python key function and formats each term with an f-string (monomials
 through this module's own copy of the formatter, so that a rewrite in
 the package is checked against it), and the greedy witness reruns the
-all-subsets test on every live submatrix.  The
+all-subsets test on every live submatrix.  A census record is
+classified pair by pair, with a fresh expansion to count its terms.  The
 structural checks on sign patterns, the per-selection term, ``unhat``,
 monomial polynomials and variable relabelling live here too: only the
 tests use them.  Random streams are seeded so that every test module
@@ -23,7 +24,16 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from immaculates import enumerate_compositions, is_partition, nocancel_conditions_hold
+from immaculates import (
+    Outcome,
+    classify,
+    enumerate_compositions,
+    format_certificate,
+    format_parts,
+    is_partition,
+    nocancel_conditions_hold,
+    skew_immaculate,
+)
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import normalize_word
 from immaculates.matrix import SubscriptMatrix
@@ -123,6 +133,33 @@ def condition1_all_subsets(counts) -> bool:
             if max(counts[i] for i in subset) < k:
                 return False
     return True
+
+
+def census_row_oracle(alpha, beta) -> dict:
+    """The census record of one pair, computed pair by pair.
+
+    Runs :func:`classify` on the pair, then counts the terms of the full
+    expansion for a provably nonzero pair and of the witness otherwise;
+    ``micros`` is the untimed 0.
+    """
+    length = len(alpha)
+    result = classify(alpha, beta, oracle_cap=length)
+    if result.outcome is Outcome.PROVABLY_NONZERO:
+        terms = len(skew_immaculate(alpha, beta, cap=length))
+    else:
+        terms = len(result.witness) if result.witness is not None else 0
+    return {
+        "alpha": format_parts(alpha),
+        "beta": format_parts(beta),
+        "class": result.outcome.value,
+        "certificate": (
+            format_certificate(result.certificate)
+            if result.certificate is not None
+            else None
+        ),
+        "terms": terms,
+        "micros": 0,
+    }
 
 
 def compositions_up_to_weight(max_weight, length):

@@ -1,13 +1,13 @@
 import hashlib
 import json
-import random
 
 import pytest
 
-from immaculates import predicates
+from immaculates import enumerate_compositions, is_partition, predicates
 from immaculates.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SHAPE, main
 from immaculates.errors import GreedyPreconditionError
-from immaculates.predicates import classify, format_certificate
+
+from support import census_row_oracle
 
 
 def run(capsys, *argv):
@@ -163,34 +163,70 @@ def test_enumerate_empty_when_length_exceeds_weight(capsys):
     assert err.startswith("total=0 ")
 
 
-def test_enumerate_rows_match_independent_classification(capsys, tmp_path):
+SUMMARY_12_5 = (
+    "total=108900 ALL_ZERO_PRE_CANCELLATION=106004 NONZERO_TERM_EXISTS=796 "
+    "PROVABLY_NONZERO=85 ZERO_AFTER_CANCELLATION=2015\n"
+)
+CENSUS_SHA256 = {
+    ("--n", "12", "--len", "5"): (
+        "a27b7f90ebae8e9f3032738897e1ef11dbed0fbe2d18e788db48f011634efdc6",
+        SUMMARY_12_5,
+    ),
+    ("--n", "12", "--len", "5", "--format", "csv"): (
+        "64f49c114423cd1d40abb270edaf2931c3e8a986dd78d40f35f5a82ea9c9e2bb",
+        SUMMARY_12_5,
+    ),
+    ("--n", "14", "--len", "7", "--partitions-only"): (
+        "a0bb6803fb3acfbce58f98a484349ee22d7e769b1beb3b4ad22deec1a23236bf",
+        "total=25740 ALL_ZERO_PRE_CANCELLATION=25559 NONZERO_TERM_EXISTS=0 "
+        "PROVABLY_NONZERO=181 ZERO_AFTER_CANCELLATION=0\n",
+    ),
+}
+
+
+def test_enumerate_census_is_byte_stable(capsys, tmp_path):
+    out_file = tmp_path / "census"
+    for args, (expected_sha, expected_summary) in CENSUS_SHA256.items():
+        code, out, err = run(capsys, "enumerate", *args, "--out", str(out_file))
+        assert (code, out, err) == (EXIT_OK, expected_summary, ""), args
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == expected_sha, args
+
+
+def census_rows(capsys, tmp_path, *args):
     out_file = tmp_path / "census.jsonl"
-    code, out, _ = run(
-        capsys, "enumerate", "--n", "7", "--len", "3", "--out", str(out_file)
-    )
+    code, out, _ = run(capsys, "enumerate", *args, "--out", str(out_file))
     assert code == EXIT_OK
     assert out.startswith("total=")
-    records = [json.loads(line) for line in out_file.read_text().splitlines()]
-    rng = random.Random(11)
-    for record in rng.sample(records, 25):
-        alpha = tuple(int(p) for p in record["alpha"].split(","))
-        beta = tuple(int(p) for p in record["beta"].split(","))
-        result = classify(alpha, beta)
-        assert record["class"] == result.outcome.value
-        expected_cert = (
-            format_certificate(result.certificate)
-            if result.certificate is not None
-            else None
-        )
-        assert record["certificate"] == expected_cert
-    pairs = [
-        (
-            tuple(int(p) for p in r["alpha"].split(",")),
-            tuple(int(p) for p in r["beta"].split(",")),
-        )
-        for r in records
-    ]
-    assert pairs == sorted(pairs)  # lex on alpha, then beta
+    return [json.loads(line) for line in out_file.read_text().splitlines()]
+
+
+def test_enumerate_rows_match_independent_classification(capsys, tmp_path):
+    for n, length, partitions_only in ((7, 3, False), (8, 4, True)):
+        args = ["--n", str(n), "--len", str(length)]
+        if partitions_only:
+            args.append("--partitions-only")
+        records = census_rows(capsys, tmp_path, *args)
+        compositions = list(enumerate_compositions(n, length))
+        pairs = [
+            (alpha, beta)
+            for alpha in compositions  # lex on alpha, then beta
+            for beta in compositions
+            if not partitions_only or is_partition(beta)
+        ]
+        assert len(records) == len(pairs)
+        for record, (alpha, beta) in zip(records, pairs):
+            assert record == census_row_oracle(alpha, beta), record
+
+
+def test_enumerate_timings_change_only_micros(capsys, tmp_path):
+    plain = census_rows(capsys, tmp_path, "--n", "7", "--len", "3")
+    timed = census_rows(capsys, tmp_path, "--n", "7", "--len", "3", "--timings")
+    assert len(timed) == len(plain)
+    for timed_record, record in zip(timed, plain):
+        micros = timed_record.pop("micros")
+        assert type(micros) is int and micros >= 0
+        del record["micros"]
+        assert timed_record == record
 
 
 def test_enumerate_csv_format(capsys, tmp_path):
