@@ -28,13 +28,7 @@ from .compositions import (
 from .errors import LengthMismatchError
 from .matrix import build_matrix
 from .ndet import DEFAULT_DIM_CAP, ndet_laplace
-from .predicates import (
-    Outcome,
-    _classify_dominating,
-    _dominates_sorted,
-    classify,
-    format_certificate,
-)
+from .predicates import Outcome, _dominates_sorted, classify, format_certificate
 from .symfunc import schur_via_jacobi_trudi, schur_via_tableaux
 
 EXIT_OK = 0
@@ -93,35 +87,31 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
 
     Each composition is formatted, hatted and sorted once.  A pair that
     fails the counting test on the sorted hats is recorded as
-    ALL_ZERO_PRE_CANCELLATION without a matrix; every other pair builds
-    its matrix once and goes through the rest of the classification.
-    Every matrix has dimension ``length``, which the caller already holds
-    to the length cap, so the exact expansion always runs, capped at that
-    dimension.
+    ALL_ZERO_PRE_CANCELLATION at once; every other pair goes through
+    :func:`classify`, capped at dimension ``length``, which the caller
+    already holds to the length cap, so the exact expansion always runs.
+    ``terms`` is the length of the witness: both sequences have weight n,
+    so a passing pair has sorted(ahat) == sorted(bhat), every surviving
+    term is the unit word, and the expansion has at most one term.
     """
-    compositions = []
-    for c in enumerate_compositions(n, length):
-        h = hat(c)
-        compositions.append((c, format_parts(c), h, sorted(h)))
+    compositions = [
+        (c, format_parts(c), sorted(hat(c))) for c in enumerate_compositions(n, length)
+    ]
     betas = [row for row in compositions if not partitions_only or is_partition(row[0])]
     all_zero = Outcome.ALL_ZERO_PRE_CANCELLATION.value
     clock = time.perf_counter_ns
-    for alpha, alpha_text, ahat, ahat_sorted in compositions:
-        for beta, beta_text, bhat, bhat_sorted in betas:
+    for alpha, alpha_text, ahat_sorted in compositions:
+        for beta, beta_text, bhat_sorted in betas:
             started = clock() if timings else 0
             if _dominates_sorted(ahat_sorted, bhat_sorted):
-                matrix = build_matrix(alpha, beta)
-                result = _classify_dominating(matrix, ahat, bhat, length)
-                if result.outcome is Outcome.PROVABLY_NONZERO:
-                    terms = len(ndet_laplace(matrix, cap=length))
-                else:
-                    terms = len(result.witness) if result.witness is not None else 0
+                result = classify(alpha, beta, oracle_cap=length)
                 outcome = result.outcome.value
                 certificate = (
                     format_certificate(result.certificate)
                     if result.certificate is not None
                     else None
                 )
+                terms = len(result.witness) if result.witness is not None else 0
             else:
                 outcome, certificate, terms = all_zero, None, 0
             micros = (clock() - started) // 1000 if timings else 0

@@ -15,6 +15,7 @@ its zero-dropping accumulate exists once in :func:`add_terms` and once in
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Mapping
 
 Word = tuple[int, ...]
@@ -27,11 +28,11 @@ def normalize_word(raw: Iterable[int]) -> Word | None:
     the empty word is the unit and is a perfectly good result.
     """
     word = []
-    for a in raw:
+    for a in map(operator.index, raw):
         if a < 0:
             return None
-        if a != 0:
-            word.append(int(a))
+        if a:
+            word.append(a)
     return tuple(word)
 
 
@@ -81,7 +82,9 @@ class TermMap:
     def _merged(terms, check_key) -> dict:
         """Sum ``{key: coeff}`` or pairs into a dict, every key via ``check_key``."""
         items = terms.items() if hasattr(terms, "items") else terms
-        return add_terms({}, ((check_key(key), int(coeff)) for key, coeff in items))
+        return add_terms(
+            {}, ((check_key(key), operator.index(coeff)) for key, coeff in items)
+        )
 
     def coefficient(self, key: Iterable[int]) -> int:
         return self._terms.get(tuple(key), 0)
@@ -112,7 +115,7 @@ class TermMap:
 
 
 def _checked_word(raw: Iterable[int]) -> Word:
-    word = tuple(int(a) for a in raw)
+    word = tuple(map(operator.index, raw))
     if any(a < 1 for a in word):
         raise ValueError(f"words must be normalized (positive subscripts): {word!r}")
     return word

@@ -9,6 +9,7 @@ the generator wrapper only exists at the algebra layer.  Indices are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .compositions import hat
@@ -38,8 +39,8 @@ def validate_pair(alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ``alpha`` must have positive parts; ``beta`` may be weak (zero parts
     embed non-skew indices as a skew by a zero sequence).
     """
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
+    alpha = tuple(map(operator.index, alpha))
+    beta = tuple(map(operator.index, beta))
     if len(alpha) != len(beta):
         raise LengthMismatchError(
             f"alpha has {len(alpha)} parts but beta has {len(beta)}"

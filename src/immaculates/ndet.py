@@ -44,7 +44,7 @@ class SignedSelection(NamedTuple):
 
     @classmethod
     def from_columns(cls, columns) -> "SignedSelection":
-        cols = tuple(int(c) for c in columns)
+        cols = tuple(map(operator.index, columns))
         if sorted(cols) != list(range(1, len(cols) + 1)):
             raise ValueError(f"not a permutation of 1..{len(cols)}: {cols!r}")
         return cls(cols, permutation_sign(cols))
@@ -131,7 +131,7 @@ def immaculate(mu, cap=DEFAULT_DIM_CAP) -> HExpansion:
     Equals the skew expansion against the all-zero sequence; the (i, j)
     subscript of the underlying matrix is mu_i - i + j.
     """
-    mu = tuple(int(p) for p in mu)
+    mu = tuple(map(operator.index, mu))
     if not is_composition(mu):
         raise ValueError(f"index must be a composition (positive parts): {mu!r}")
     return skew_immaculate(mu, (0,) * len(mu), cap=cap)

@@ -206,18 +206,9 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     ahat, bhat = hat(alpha), hat(beta)
     if not _dominates(ahat, bhat):
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
-    return _classify_dominating(build_matrix(alpha, beta), ahat, bhat, oracle_cap)
-
-
-def _classify_dominating(matrix, ahat, bhat, oracle_cap) -> Classification:
-    """:func:`classify` of a pair that passes the counting test.
-
-    Takes the pair's matrix and hat sequences, so a caller that needs the
-    matrix again (the census counts the terms of a provably nonzero
-    expansion) builds it once.
-    """
-    # condition (1) of the no-cancellation class is the test already passed
-    if is_zero_padded_partition(matrix.beta) and _no_repeated_zero_row(ahat, bhat):
+    matrix = build_matrix(alpha, beta)
+    # condition (1) of the no-cancellation class is the test just passed
+    if is_zero_padded_partition(beta) and _no_repeated_zero_row(ahat, bhat):
         sign, word, selection = greedy_h0_term(matrix)
         return Classification(
             Outcome.PROVABLY_NONZERO,

@@ -18,7 +18,7 @@ import operator
 from collections import Counter
 from typing import NamedTuple
 
-from .compositions import is_partition, is_zero_padded_partition
+from .compositions import is_partition, is_zero_padded_partition, strip_trailing_zeros
 from .hwords import HExpansion, TermMap, add_product, add_terms
 from .ndet import _layered_laplace
 
@@ -39,13 +39,13 @@ class Poly(TermMap):
     __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=()):
-        nvars = int(nvars)
+        nvars = operator.index(nvars)
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
 
         def checked_exponents(raw) -> tuple[int, ...]:
-            exps = tuple(int(e) for e in raw)
+            exps = tuple(map(operator.index, raw))
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps!r} for {nvars} variables")
             return exps
@@ -159,11 +159,11 @@ class Tableau(NamedTuple):
 
 
 def _check_skew_shape(outer, inner):
-    outer = tuple(int(p) for p in outer)
-    inner = tuple(int(p) for p in inner)
+    outer = tuple(map(operator.index, outer))
+    inner = strip_trailing_zeros(map(operator.index, inner))
     if outer and not is_partition(outer):
         raise ValueError(f"outer shape must be a partition: {outer!r}")
-    if not is_zero_padded_partition(inner):
+    if not is_partition(inner):
         raise ValueError(f"inner shape must weakly decrease: {inner!r}")
     if len(inner) > len(outer):
         raise ValueError(f"inner shape {inner!r} is longer than outer {outer!r}")

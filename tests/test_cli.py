@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -201,7 +204,7 @@ def census_rows(capsys, tmp_path, *args):
 
 
 def test_enumerate_rows_match_independent_classification(capsys, tmp_path):
-    for n, length, partitions_only in ((7, 3, False), (8, 4, True)):
+    for n, length, partitions_only in ((7, 3, False), (8, 4, True), (9, 4, False)):
         args = ["--n", str(n), "--len", str(length)]
         if partitions_only:
             args.append("--partitions-only")
@@ -267,3 +270,16 @@ def test_enumerate_range_validation(capsys):
     assert code == EXIT_PARSE
     code, _, _ = run(capsys, "enumerate", "--n", "8", "--len", "8")
     assert code == EXIT_PARSE
+
+
+README_EXAMPLE = re.compile(r"^immaculates (.+?)\s+# (.+)$", re.MULTILINE)
+
+
+def test_readme_cli_examples(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    examples = README_EXAMPLE.findall(readme)
+    assert examples
+    for args, expected in examples:
+        code, out, _ = run(capsys, *shlex.split(args))
+        assert code == EXIT_OK, args
+        assert out.strip() == expected.strip(), args

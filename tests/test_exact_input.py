@@ -1,0 +1,34 @@
+from fractions import Fraction
+
+import pytest
+
+from immaculates.hwords import HExpansion, normalize_word
+from immaculates.matrix import validate_pair
+from immaculates.ndet import SignedSelection, immaculate, skew_immaculate
+from immaculates.symfunc import Poly, schur_via_tableaux
+
+# Each entry point with the number 1 in one of its integer slots; 1 is valid
+# in every slot, so a bool there must give the same result as the int.
+ENTRY_POINTS = {
+    "normalize_word": lambda x: normalize_word((2, x)),
+    "HExpansion coefficient": lambda x: HExpansion({(1,): x}),
+    "HExpansion word": lambda x: HExpansion({(x, 2): 1}),
+    "validate_pair alpha": lambda x: validate_pair((x, 2), (0, 0)),
+    "validate_pair beta": lambda x: validate_pair((2, 2), (x, 0)),
+    "skew_immaculate": lambda x: skew_immaculate((2, x), (0, 0)),
+    "SignedSelection.from_columns": lambda x: SignedSelection.from_columns((x, 2)),
+    "immaculate": lambda x: immaculate((x, 2)),
+    "Poly nvars": lambda x: Poly(x, {(2,): 3}),
+    "Poly exponents": lambda x: Poly(2, {(x, 0): 3}),
+    "Poly coefficient": lambda x: Poly(2, {(1, 0): x}),
+    "schur outer": lambda x: schur_via_tableaux((2, x), (), 2),
+    "schur inner": lambda x: schur_via_tableaux((2, 1), (x,), 2),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_non_integral_numbers_raise_and_ints_and_bools_pass(entry):
+    for inexact in (1.5, 1.0, Fraction(3, 2), Fraction(1)):
+        with pytest.raises(TypeError):
+            entry(inexact)
+    assert entry(True) == entry(1)

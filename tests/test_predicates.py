@@ -2,13 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
-from immaculates.compositions import hat
+from immaculates.compositions import enumerate_compositions, hat
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import HExpansion
 from immaculates.matrix import build_matrix
-from immaculates.ndet import ndet_permutation_sum
+from immaculates.ndet import ndet_permutation_sum, skew_immaculate
 from immaculates.predicates import (
     Classification,
     Outcome,
@@ -29,6 +29,7 @@ from support import (
     no_repeated_zero_row_scan,
     random_composition,
     surviving_term_exists,
+    unhat,
 )
 
 
@@ -249,3 +250,44 @@ def test_classification_is_frozen():
     assert isinstance(result, Classification)
     with pytest.raises(AttributeError):
         result.outcome = Outcome.PROVABLY_NONZERO
+
+
+def _check_equal_weight_passing_pair(alpha, beta):
+    # equal weights make sum(ahat) == sum(bhat), so sorted dominance forces
+    # sorted(ahat) == sorted(bhat): every surviving term is the unit word
+    expansion = skew_immaculate(alpha, beta)
+    assert expansion.is_zero() or (
+        len(expansion) == 1 and expansion.coefficient(()) in (1, -1)
+    ), (alpha, beta)
+    witness = classify(alpha, beta).witness
+    assert (0 if witness is None else len(witness)) == len(expansion), (alpha, beta)
+
+
+def test_equal_weight_passing_pairs_expand_to_at_most_the_unit():
+    for length in range(1, 5):
+        for n in range(length, 10):
+            compositions = list(enumerate_compositions(n, length))
+            for alpha in compositions:
+                for beta in compositions:
+                    if necessary_condition_holds(alpha, beta):
+                        _check_equal_weight_passing_pair(alpha, beta)
+
+
+@st.composite
+def equal_weight_passing_pairs(draw):
+    """Compositions of one length and weight that pass the counting test.
+
+    With equal weights, passing means bhat is a rearrangement of ahat.
+    """
+    length = draw(st.integers(min_value=1, max_value=6))
+    alpha = tuple(draw(st.lists(st.integers(1, 8), min_size=length, max_size=length)))
+    beta = unhat(draw(st.permutations(hat(alpha))))
+    assume(min(beta) >= 1)
+    return alpha, beta
+
+
+@given(equal_weight_passing_pairs())
+def test_equal_weight_passing_pairs_property(pair):
+    alpha, beta = pair
+    assert sum(alpha) == sum(beta) and necessary_condition_holds(alpha, beta)
+    _check_equal_weight_passing_pair(alpha, beta)

@@ -247,3 +247,9 @@ def test_containment_validation():
         list(generate_ssyt((1, 2), (), 2))
     with pytest.raises(ValueError):
         list(generate_ssyt((2, 1), (1, 2), 2))
+
+
+def test_zero_padded_inner_shape_equals_unpadded():
+    for outer, padded in (((2,), (1, 0)), ((2, 1), (1, 0, 0))):
+        for schur in (schur_via_tableaux, schur_via_jacobi_trudi):
+            assert schur(outer, padded, 2) == schur(outer, (1,), 2)
