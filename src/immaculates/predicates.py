@@ -19,9 +19,16 @@ the two hat sequences:
   then captures every zero subscript and survives all cancellation, so
   the whole expansion is nonzero.
 
+* two equal columns (a repeated bhat value) make the expansion exactly
+  zero at any dimension: the determinant takes its factors in row order,
+  and swapping the two columns pairs each surviving term with one of the
+  same word and the opposite sign.  A partition skew never has them.
+
 :func:`classify` therefore builds a matrix only for pairs that pass the
-counting test.  Skewing sequences may be weak (trailing zeros) even
-though the classical statements concern positive parts.
+counting test, and only the passing pairs without equal columns reach
+the matching and the exact expansion.  Skewing sequences may be weak
+(trailing zeros) even though the classical statements concern positive
+parts.
 """
 
 from __future__ import annotations
@@ -196,17 +203,22 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
 
     Failure of the counting test proves every term vanishes; it reads
     only the hat sequences, so no matrix is built for such a pair.  A
-    partition skew meeting the no-cancellation conditions is provably
-    nonzero, witnessed by the greedy term.  Otherwise a matching
-    certificate shows a term survives pre-cancellation, and under the
-    dimension cap the exact expansion decides whether cancellation
-    removes them all; above the cap that question is left open.
+    matrix with two equal columns expands to exactly zero, at any
+    dimension.  A partition skew meeting the no-cancellation conditions
+    is provably nonzero, witnessed by the greedy term.  Otherwise a
+    matching certificate shows a term survives pre-cancellation, and
+    under the dimension cap the exact expansion decides whether
+    cancellation removes them all; above the cap that question is left
+    open.
     """
     alpha, beta = validate_pair(alpha, beta)
     ahat, bhat = hat(alpha), hat(beta)
     if not _dominates(ahat, bhat):
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
     matrix = build_matrix(alpha, beta)
+    if len(set(zip(*matrix.entries))) < matrix.dim:
+        # equal columns (a repeated bhat): swapping them negates every term
+        return Classification(Outcome.ZERO_AFTER_CANCELLATION)
     # condition (1) of the no-cancellation class is the test just passed
     if is_zero_padded_partition(beta) and _no_repeated_zero_row(ahat, bhat):
         sign, word, selection = greedy_h0_term(matrix)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -7,7 +9,16 @@ from pathlib import Path
 import pytest
 
 from immaculates import enumerate_compositions, is_partition, predicates
-from immaculates.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_SHAPE, main
+from immaculates.cli import (
+    CENSUS_FIELDS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_SHAPE,
+    _write_census,
+    census_records,
+    main,
+)
 from immaculates.errors import GreedyPreconditionError
 
 from support import census_row_oracle
@@ -102,6 +113,12 @@ def test_classify_lines(capsys):
     code, out, _ = run(capsys, "classify", "10,7,9", "9,8,5")
     assert (code, out) == (EXIT_OK, "PROVABLY_NONZERO 1->1,2->3,3->2\n")
     code, out, _ = run(capsys, "classify", "9,5,5", "2,5,6")
+    assert (code, out) == (EXIT_OK, "ZERO_AFTER_CANCELLATION\n")
+
+
+def test_classify_equal_columns_above_the_cap(capsys, monkeypatch):
+    monkeypatch.setenv("IMMACULATE_DIM_CAP", "2")
+    code, out, _ = run(capsys, "classify", "3,3,3", "1,2,0")
     assert (code, out) == (EXIT_OK, "ZERO_AFTER_CANCELLATION\n")
 
 
@@ -219,6 +236,28 @@ def test_enumerate_rows_match_independent_classification(capsys, tmp_path):
         assert len(records) == len(pairs)
         for record, (alpha, beta) in zip(records, pairs):
             assert record == census_row_oracle(alpha, beta), record
+
+
+@pytest.mark.parametrize("partitions_only", (False, True))
+@pytest.mark.parametrize("timings", (False, True))
+def test_census_rows_are_what_the_general_encoders_write(partitions_only, timings):
+    records = list(census_records(9, 4, partitions_only, timings))
+    assert records
+    jsonl = io.StringIO()
+    _write_census(records, jsonl, "json-lines")
+    lines = jsonl.getvalue().splitlines(keepends=True)
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        assert line == json.dumps(rec) + "\n"
+    table = io.StringIO()
+    _write_census(records, table, "csv")
+    rows = list(csv.reader(io.StringIO(table.getvalue(), newline="")))
+    assert rows[0] == list(CENSUS_FIELDS)
+    assert rows[1:] == [
+        [rec["alpha"], rec["beta"], rec["class"], rec["certificate"] or "",
+         str(rec["terms"]), str(rec["micros"])]
+        for rec in records
+    ]
 
 
 def test_enumerate_timings_change_only_micros(capsys, tmp_path):

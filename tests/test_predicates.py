@@ -219,6 +219,42 @@ def test_classify_above_cap_leaves_cancellation_undecided():
     assert "undecided" in result.note
 
 
+def test_classify_decides_equal_columns_above_cap():
+    # beta (1, 2, 0) has bhat (0, 0, -3): columns 1 and 2 are equal, so the
+    # expansion is 0 and no exact expansion is needed to say so
+    result = classify((3, 3, 3), (1, 2, 0), oracle_cap=2)
+    assert result == Classification(Outcome.ZERO_AFTER_CANCELLATION)
+    assert skew_immaculate((3, 3, 3), (1, 2, 0)).is_zero()
+
+
+@st.composite
+def repeated_bhat_pairs(draw):
+    """Equal-length pairs whose bhat repeats a value at two positions."""
+    alpha, beta = draw(equal_length_pairs())
+    assume(len(beta) >= 2)
+    i, j = sorted(draw(st.lists(
+        st.integers(0, len(beta) - 1), min_size=2, max_size=2, unique=True
+    )))
+    beta = list(beta)
+    beta[j] = beta[i] + (j - i)  # hat subtracts the position, so bhat_j == bhat_i
+    return alpha, tuple(beta)
+
+
+@given(repeated_bhat_pairs())
+def test_repeated_bhat_expands_to_zero_and_classifies_as_zero(pair):
+    alpha, beta = pair
+    bhat = hat(beta)
+    assert len(set(bhat)) < len(bhat)
+    assert ndet_permutation_sum(build_matrix(alpha, beta)).is_zero()
+    for caps in ({"oracle_cap": 1}, {"oracle_cap": None}, {}):
+        result = classify(alpha, beta, **caps)
+        assert result.outcome in (
+            Outcome.ALL_ZERO_PRE_CANCELLATION,
+            Outcome.ZERO_AFTER_CANCELLATION,
+        ), (pair, caps)
+        assert result.certificate is None and result.witness is None
+
+
 def test_classify_provably_nonzero_implies_term_exists():
     rng = random.Random(61)
     for _ in range(200):
