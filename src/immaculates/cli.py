@@ -101,6 +101,9 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     have weight n, so a passing pair has sorted(ahat) == sorted(bhat),
     every surviving term is the unit word, and the expansion has at most
     one term.
+
+    Each record is a tuple in CENSUS_FIELDS order: ``(alpha, beta, class,
+    certificate or None, terms, micros)``.
     """
     compositions = [
         (c, format_parts(c), sorted(hat(c))) for c in enumerate_compositions(n, length)
@@ -123,34 +126,31 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
             else:
                 outcome, certificate, terms = all_zero, None, 0
             micros = (clock() - started) // 1000 if timings else 0
-            yield {
-                "alpha": alpha_text,
-                "beta": beta_text,
-                "class": outcome,
-                "certificate": certificate,
-                "terms": terms,
-                "micros": micros,
-            }
+            yield alpha_text, beta_text, outcome, certificate, terms, micros
 
 
-def _write_census(records, stream, fmt: str) -> None:
+def _write_census(records, stream, fmt: str) -> dict[str, int]:
+    """Write the census records; return the count of each class, in Outcome order.
+
+    CSV writes a None certificate as an empty field, JSON lines as null.
+    """
+    counts = dict.fromkeys((outcome.value for outcome in Outcome), 0)
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(CENSUS_FIELDS)
         for rec in records:
-            writer.writerow(
-                [rec["alpha"], rec["beta"], rec["class"], rec["certificate"] or "",
-                 rec["terms"], rec["micros"]]
-            )
+            counts[rec[2]] += 1
+            writer.writerow(rec)
     else:
         write = stream.write
-        for rec in records:
-            certificate = rec["certificate"]
+        for alpha, beta, outcome, certificate, terms, micros in records:
+            counts[outcome] += 1
             write(_CENSUS_ROW % (
-                rec["alpha"], rec["beta"], rec["class"],
+                alpha, beta, outcome,
                 "null" if certificate is None else '"%s"' % certificate,
-                rec["terms"], rec["micros"],
+                terms, micros,
             ))
+    return counts
 
 
 def _cmd_enumerate(args) -> int:
@@ -159,16 +159,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"--n must be within 1..{ENUMERATE_WEIGHT_CAP}")
     if not 1 <= args.length <= length_cap:
         raise ValueError(f"--len must be within 1..{length_cap}")
-    counts = dict.fromkeys((outcome.value for outcome in Outcome), 0)
-
-    def counted(records):
-        for rec in records:
-            counts[rec["class"]] += 1
-            yield rec
-
-    records = counted(
-        census_records(args.n, args.length, args.partitions_only, args.timings)
-    )
+    records = census_records(args.n, args.length, args.partitions_only, args.timings)
     if args.out is not None:
         try:
             stream = open(args.out, "w", encoding="utf-8", newline="")
@@ -176,10 +167,10 @@ def _cmd_enumerate(args) -> int:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
         with stream:
-            _write_census(records, stream, args.format)
+            counts = _write_census(records, stream, args.format)
         summary_stream = sys.stdout
     else:
-        _write_census(records, sys.stdout, args.format)
+        counts = _write_census(records, sys.stdout, args.format)
         summary_stream = sys.stderr
     summary = f"total={sum(counts.values())} " + " ".join(
         f"{name}={count}" for name, count in counts.items()

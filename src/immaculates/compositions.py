@@ -10,25 +10,27 @@ expansions becomes a plain integer comparison.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
 Parts = tuple[int, ...]
+
+_PART = re.compile("-?[0-9]+")
 
 
 def parse_parts(text: str, minimum: int = 1) -> Parts:
     """Parse ``a1,a2,...`` into a tuple of ints, each >= ``minimum``.
 
     This is the one composition syntax used across the CLI: comma-separated
-    decimal integers, no brackets, e.g. ``6,4,3``.
+    decimal integers, no brackets, e.g. ``6,4,3``.  Each part is ASCII
+    digits with an optional leading minus, so ``int`` spellings such as
+    ``1_0``, ``+3`` or non-ASCII digits are malformed.
     """
     tokens = [t.strip() for t in str(text).split(",")]
-    if not tokens or any(not t for t in tokens):
+    if not all(map(_PART.fullmatch, tokens)):
         raise ValueError(f"malformed composition text: {text!r}")
-    try:
-        parts = tuple(int(t) for t in tokens)
-    except ValueError:
-        raise ValueError(f"malformed composition text: {text!r}") from None
+    parts = tuple(map(int, tokens))
     if any(p < minimum for p in parts):
         raise ValueError(f"every part must be >= {minimum}: {text!r}")
     return parts

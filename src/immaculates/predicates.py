@@ -216,7 +216,7 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     if not _dominates(ahat, bhat):
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
     matrix = build_matrix(alpha, beta)
-    if len(set(zip(*matrix.entries))) < matrix.dim:
+    if len(set(bhat)) < len(bhat):
         # equal columns (a repeated bhat): swapping them negates every term
         return Classification(Outcome.ZERO_AFTER_CANCELLATION)
     # condition (1) of the no-cancellation class is the test just passed

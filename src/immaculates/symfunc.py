@@ -178,35 +178,33 @@ def generate_ssyt(outer, inner, n: int):
 
     Cells are filled bottom row first, left to right, candidate values
     ascending, so enumeration order is lexicographic on the filling
-    sequence and deterministic across runs.
+    sequence and deterministic across runs.  The filling is one flat
+    list in that cell order; each cell's left and lower neighbours are
+    looked up once as indices into it, and a leaf slices its rows out.
     """
     outer, inner = _check_skew_shape(outer, inner)
     if n < 1:
         raise ValueError("need at least one value")
-    depth = len(outer)
-    cells = [(r, c) for r in range(depth) for c in range(inner[r], outer[r])]
-    grid: dict[tuple[int, int], int] = {}
+    cells, spans = [], []
+    for r in range(len(outer)):
+        start = len(cells)
+        cells.extend((r, c) for c in range(inner[r], outer[r]))
+        spans.append(slice(start, len(cells)))
+    index = {cell: k for k, cell in enumerate(cells)}
+    # a missing neighbour points at the last slot, which stays 0, so the
+    # lower bound max(left, below + 1) is 1 where neither exists
+    left = [index.get((r, c - 1), -1) for r, c in cells]
+    below = [index.get((r - 1, c), -1) for r, c in cells]
+    size = len(cells)
+    values = [0] * (size + 1)
 
     def fill(pos: int):
-        if pos == len(cells):
-            rows = tuple(
-                tuple(grid[(r, c)] for c in range(inner[r], outer[r]))
-                for r in range(depth)
-            )
-            yield Tableau(outer, inner, rows)
+        if pos == size:
+            yield Tableau(outer, inner, tuple(tuple(values[s]) for s in spans))
             return
-        r, c = cells[pos]
-        low = 1
-        left = grid.get((r, c - 1))
-        if left is not None:
-            low = max(low, left)
-        below = grid.get((r - 1, c))
-        if below is not None:
-            low = max(low, below + 1)
-        for value in range(low, n + 1):
-            grid[(r, c)] = value
+        for value in range(max(values[left[pos]], values[below[pos]] + 1), n + 1):
+            values[pos] = value
             yield from fill(pos + 1)
-        grid.pop((r, c), None)
 
     yield from fill(0)
 

@@ -162,6 +162,29 @@ def census_row_oracle(alpha, beta) -> dict:
     }
 
 
+def ssyt_by_product(outer, inner, n):
+    """Rows of every semistandard filling of outer/inner in 1..n, by brute force.
+
+    Takes ``itertools.product`` of 1..n over the cells, bottom row first
+    and left to right, and keeps the fillings whose rows weakly increase
+    and whose columns strictly increase upward, in that product order.
+    """
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    cells = [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
+    kept = []
+    for filling in itertools.product(range(1, n + 1), repeat=len(cells)):
+        grid = dict(zip(cells, filling))
+        if all(
+            grid.get((r, c - 1), 0) <= value and grid.get((r - 1, c), 0) < value
+            for (r, c), value in grid.items()
+        ):
+            kept.append(tuple(
+                tuple(grid[(r, c)] for c in range(inner[r], outer[r]))
+                for r in range(len(outer))
+            ))
+    return kept
+
+
 def compositions_up_to_weight(max_weight, length):
     for n in range(length, max_weight + 1):
         yield from enumerate_compositions(n, length)

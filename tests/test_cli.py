@@ -4,11 +4,12 @@ import io
 import json
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from immaculates import enumerate_compositions, is_partition, predicates
+from immaculates import Outcome, enumerate_compositions, is_partition, predicates
 from immaculates.cli import (
     CENSUS_FIELDS,
     EXIT_IO,
@@ -83,6 +84,12 @@ def test_expand_parse_error(capsys):
     code, _, err = run(capsys, "expand", "6,x,3")
     assert code == EXIT_PARSE
     assert err
+
+
+def test_classify_rejects_underscore_parts(capsys):
+    code, out, err = run(capsys, "classify", "1_0,7,9", "9,8,5")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "malformed composition text" in err
 
 
 def test_expand_length_mismatch(capsys):
@@ -243,21 +250,24 @@ def test_enumerate_rows_match_independent_classification(capsys, tmp_path):
 def test_census_rows_are_what_the_general_encoders_write(partitions_only, timings):
     records = list(census_records(9, 4, partitions_only, timings))
     assert records
+    assert all(len(rec) == len(CENSUS_FIELDS) for rec in records)
     jsonl = io.StringIO()
-    _write_census(records, jsonl, "json-lines")
+    json_counts = _write_census(records, jsonl, "json-lines")
     lines = jsonl.getvalue().splitlines(keepends=True)
     assert len(lines) == len(records)
     for line, rec in zip(lines, records):
-        assert line == json.dumps(rec) + "\n"
+        assert line == json.dumps(dict(zip(CENSUS_FIELDS, rec))) + "\n"
     table = io.StringIO()
-    _write_census(records, table, "csv")
+    csv_counts = _write_census(records, table, "csv")
     rows = list(csv.reader(io.StringIO(table.getvalue(), newline="")))
     assert rows[0] == list(CENSUS_FIELDS)
     assert rows[1:] == [
-        [rec["alpha"], rec["beta"], rec["class"], rec["certificate"] or "",
-         str(rec["terms"]), str(rec["micros"])]
-        for rec in records
+        [alpha, beta, outcome, certificate or "", str(terms), str(micros)]
+        for alpha, beta, outcome, certificate, terms, micros in records
     ]
+    classes = Counter(rec[2] for rec in records)
+    expected = [(outcome.value, classes[outcome.value]) for outcome in Outcome]
+    assert list(json_counts.items()) == list(csv_counts.items()) == expected
 
 
 def test_enumerate_timings_change_only_micros(capsys, tmp_path):

@@ -109,5 +109,17 @@ def test_parse_and_format_round_trip():
         parse_parts("a,b")
     with pytest.raises(ValueError):
         parse_parts("3,0")  # zero part below the default minimum
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every part must be >= 0"):
         parse_parts("-1,2", minimum=0)
+    with pytest.raises(ValueError, match="every part must be >= 1"):
+        parse_parts("-0,2")
+    assert parse_parts(" 6 , 4,3 ") == (6, 4, 3)
+    assert parse_parts("007,0", minimum=0) == (7, 0)
+
+
+@pytest.mark.parametrize(
+    "text", ("1_0,7,9", "+3,2", "\u0663,2", "3,\uff12", "1e1,2", "0x3,2", "--3,2", "3 2", "")
+)
+def test_parse_rejects_int_spellings_beyond_ascii_digits(text):
+    with pytest.raises(ValueError, match="malformed composition text"):
+        parse_parts(text, minimum=0)

@@ -23,6 +23,7 @@ from support import (
     partitions_up_to_weight,
     permute_variables,
     render_poly_by_key_sort,
+    ssyt_by_product,
 )
 
 
@@ -142,6 +143,22 @@ def test_ssyt_enumeration_is_deterministic():
     second = [t.rows for t in generate_ssyt((2, 2), (1,), 3)]
     assert first == second
     assert first == sorted(first)  # lexicographic on the filling sequence
+
+
+def test_ssyt_order_matches_brute_force():
+    outers = [()] + [
+        outer for length in range(1, 6) for outer in partitions_up_to_weight(5, length)
+    ]
+    for outer in outers:
+        inners = [
+            inner
+            for inner in itertools.product(*(range(part + 1) for part in outer))
+            if all(a >= b for a, b in zip(inner, inner[1:]))
+        ]
+        for inner in inners:
+            for n in (1, 2, 3):
+                tableaux = [t.rows for t in generate_ssyt(outer, inner, n)]
+                assert tableaux == ssyt_by_product(outer, inner, n), (outer, inner, n)
 
 
 def test_schur_21_monomial_expansion():
