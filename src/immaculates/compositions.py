@@ -17,6 +17,8 @@ from itertools import combinations
 Parts = tuple[int, ...]
 
 _PART = re.compile("-?[0-9]+")
+# string.whitespace, spelled out so that parsing needs no further import
+_ASCII_WHITESPACE = " \t\n\r\v\f"
 
 
 def parse_parts(text: str, minimum: int = 1) -> Parts:
@@ -25,9 +27,11 @@ def parse_parts(text: str, minimum: int = 1) -> Parts:
     This is the one composition syntax used across the CLI: comma-separated
     decimal integers, no brackets, e.g. ``6,4,3``.  Each part is ASCII
     digits with an optional leading minus, so ``int`` spellings such as
-    ``1_0``, ``+3`` or non-ASCII digits are malformed.
+    ``1_0``, ``+3`` or non-ASCII digits are malformed.  Only ASCII
+    whitespace around a part is ignored; a no-break or ideographic space
+    makes the text malformed.
     """
-    tokens = [t.strip() for t in str(text).split(",")]
+    tokens = [t.strip(_ASCII_WHITESPACE) for t in str(text).split(",")]
     if not all(map(_PART.fullmatch, tokens)):
         raise ValueError(f"malformed composition text: {text!r}")
     parts = tuple(map(int, tokens))

@@ -2,8 +2,9 @@
 
 Complete homogeneous polynomials, semistandard tableaux (French
 notation: bottom row first, rows weakly increase, columns strictly
-increase upward), Schur polynomials computed both from tableaux
-and from the classical determinant formula, and the projection that
+increase upward), Schur polynomials computed both as tableau weights
+summed over chains of horizontal strips and from the classical
+determinant formula, and the projection that
 forgets noncommutativity by sending each generator subscript a to the
 complete homogeneous polynomial of degree a.
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from typing import NamedTuple
 
 from .compositions import is_partition, is_zero_padded_partition, strip_trailing_zeros
@@ -25,12 +25,6 @@ from .ndet import _layered_laplace
 
 def _add_exponents(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, e1, e2))
-
-
-def _monomial_body(exps: tuple[int, ...]) -> str:
-    return "".join(
-        f"·x{i}" if e == 1 else f"·x{i}^{e}" for i, e in enumerate(exps, start=1) if e
-    )
 
 
 class Poly(TermMap):
@@ -110,14 +104,21 @@ class Poly(TermMap):
 
         Each term renders as ``{+|-}{|c|}·x1^a1·x2^a2`` with unit
         exponents and absent variables elided; a constant term is the
-        bare signed coefficient and the zero polynomial is ``0``.
+        bare signed coefficient and the zero polynomial is ``0``.  Each
+        variable's factor text is formatted once per exponent that occurs
+        in its column, and a term joins those texts.
         """
         terms = self._terms
-        return " ".join(
-            "%+d%s" % (terms[exps], _monomial_body(exps))
+        factors = [
+            {e: "·x%d^%d" % (i, e) if e > 1 else "·x%d" % i if e else "" for e in set(column)}
+            for i, column in enumerate(zip(*terms), start=1)
+        ]
+        factor = dict.__getitem__
+        return " ".join([
+            "%+d%s" % (terms[exps], "".join(map(factor, factors, exps)))
             for _, group in self._graded(sum, True)
             for exps in group
-        ) or "0"
+        ]) or "0"
 
 
 def h_poly(k: int, n: int) -> Poly:
@@ -210,9 +211,43 @@ def generate_ssyt(outer, inner, n: int):
 
 
 def schur_via_tableaux(outer, inner, n: int) -> Poly:
-    """Schur polynomial as the weight generating function of tableaux."""
-    tableaux = generate_ssyt(outer, inner, n)
-    return Poly(n, Counter(tab.weight_exponents(n) for tab in tableaux))
+    """Schur polynomial as the weight generating function of tableaux.
+
+    Sums tableau weights shape by shape (Macdonald, I (5.11)) and builds
+    no tableau.  In a semistandard filling of outer/inner with entries in
+    1..n, the cells holding entries ``<= v`` cover a skew shape
+    ``nu_v / inner`` with ``nu_v`` a partition, since rows weakly increase
+    and columns strictly increase.  So the filling is a chain ``inner =
+    nu_0 ⊆ nu_1 ⊆ ... ⊆ nu_n = outer`` in which the cells holding v,
+    ``nu_v / nu_(v-1)``, form a horizontal strip: at most one cell per
+    column.  Each such chain fills in exactly one way.  French notation only draws row
+    1 at the bottom; which cells lie left of or below which is the same
+    as in English notation, so the bijection does not change.
+
+    Each shape ``nu`` maps to its weights so far, and variable v steps it
+    to every ``kappa`` with ``nu_i <= kappa_i <= min(outer_i, nu_(i-1))``,
+    appending the exponent ``|kappa| - |nu|``; the last variable steps
+    only to ``kappa = outer``.
+    """
+    outer, inner = _check_skew_shape(outer, inner)
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("need at least one variable")
+    level = {inner: {(): 1}}
+    for v in range(1, n + 1):
+        following: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        for nu, terms in level.items():
+            lows = nu if v < n else outer
+            tops = [min(o, above) + 1 for o, above in zip(outer, outer[:1] + nu)]
+            size = sum(nu)
+            for kappa in itertools.product(*map(range, lows, tops)):
+                step = (sum(kappa) - size,)
+                add_terms(
+                    following.setdefault(kappa, {}),
+                    [(exps + step, coeff) for exps, coeff in terms.items()],
+                )
+        level = following
+    return Poly._of(n, level.get(outer, {}))
 
 
 def _h_terms(n: int):

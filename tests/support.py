@@ -5,7 +5,8 @@ import no private name of the package: term survival is a raw
 permutation scan, the counting test has a literal all-subsets form over
 matrix row counts, the repeated-row condition scans matrix rows instead
 of hat values, a polynomial is checked by evaluating it at integer
-points, a term merge is summed in a ``Counter``, a render sorts with a
+points, a term merge is summed in a ``Counter``, a Schur polynomial
+counts the weights of every enumerated tableau, a render sorts with a
 Python key function and formats each term with an f-string (monomials
 through this module's own copy of the formatter, so that a rewrite in
 the package is checked against it), and the greedy witness reruns the
@@ -38,7 +39,7 @@ from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import normalize_word
 from immaculates.matrix import SubscriptMatrix
 from immaculates.ndet import SignedSelection
-from immaculates.symfunc import Poly
+from immaculates.symfunc import Poly, generate_ssyt
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
@@ -183,6 +184,29 @@ def ssyt_by_product(outer, inner, n):
                 for r in range(len(outer))
             ))
     return kept
+
+
+def schur_by_enumeration(outer, inner, n) -> Poly:
+    """Oracle: the Schur polynomial as the weight count of every enumerated tableau."""
+    tableaux = generate_ssyt(outer, inner, n)
+    return Poly(n, Counter(tab.weight_exponents(n) for tab in tableaux))
+
+
+def skew_shapes_up_to_weight(max_weight):
+    """Every (outer, inner) with outer a partition of weight <= max_weight.
+
+    The empty outer shape comes first.  Each inner is a partition that
+    fits inside outer, padded with zeros to the length of outer.
+    """
+    outers = [()] + [
+        outer
+        for length in range(1, max_weight + 1)
+        for outer in partitions_up_to_weight(max_weight, length)
+    ]
+    for outer in outers:
+        for inner in itertools.product(*(range(part + 1) for part in outer)):
+            if all(a >= b for a, b in zip(inner, inner[1:])):
+                yield outer, inner
 
 
 def compositions_up_to_weight(max_weight, length):

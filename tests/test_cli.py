@@ -87,9 +87,11 @@ def test_expand_parse_error(capsys):
 
 
 def test_classify_rejects_underscore_parts(capsys):
-    code, out, err = run(capsys, "classify", "1_0,7,9", "9,8,5")
-    assert (code, out) == (EXIT_PARSE, "")
-    assert "malformed composition text" in err
+    # also a no-break and an ideographic space, which str.strip would remove
+    for alpha in ("1_0,7,9", "\u00a010,7,9", "10,7,9\u3000"):
+        code, out, err = run(capsys, "classify", alpha, "9,8,5")
+        assert (code, out) == (EXIT_PARSE, ""), alpha
+        assert "malformed composition text" in err
 
 
 def test_expand_length_mismatch(capsys):

@@ -114,11 +114,16 @@ def test_parse_and_format_round_trip():
     with pytest.raises(ValueError, match="every part must be >= 1"):
         parse_parts("-0,2")
     assert parse_parts(" 6 , 4,3 ") == (6, 4, 3)
+    assert parse_parts("\t6,\n4 ,3\r\x0b\x0c") == (6, 4, 3)
     assert parse_parts("007,0", minimum=0) == (7, 0)
 
 
 @pytest.mark.parametrize(
-    "text", ("1_0,7,9", "+3,2", "\u0663,2", "3,\uff12", "1e1,2", "0x3,2", "--3,2", "3 2", "")
+    "text",
+    (
+        "1_0,7,9", "+3,2", "\u0663,2", "3,\uff12", "1e1,2", "0x3,2", "--3,2", "3 2", "",
+        " 3, 2\u3000", "\u00a03,2", "3,\u20032",
+    ),
 )
 def test_parse_rejects_int_spellings_beyond_ascii_digits(text):
     with pytest.raises(ValueError, match="malformed composition text"):

@@ -23,6 +23,7 @@ ENTRY_POINTS = {
     "Poly coefficient": lambda x: Poly(2, {(1, 0): x}),
     "schur outer": lambda x: schur_via_tableaux((2, x), (), 2),
     "schur inner": lambda x: schur_via_tableaux((2, 1), (x,), 2),
+    "schur nvars": lambda x: schur_via_tableaux((2, 1), (), x),
 }
 
 

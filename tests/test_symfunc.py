@@ -23,6 +23,8 @@ from support import (
     partitions_up_to_weight,
     permute_variables,
     render_poly_by_key_sort,
+    schur_by_enumeration,
+    skew_shapes_up_to_weight,
     ssyt_by_product,
 )
 
@@ -146,19 +148,45 @@ def test_ssyt_enumeration_is_deterministic():
 
 
 def test_ssyt_order_matches_brute_force():
-    outers = [()] + [
-        outer for length in range(1, 6) for outer in partitions_up_to_weight(5, length)
-    ]
-    for outer in outers:
-        inners = [
-            inner
-            for inner in itertools.product(*(range(part + 1) for part in outer))
-            if all(a >= b for a, b in zip(inner, inner[1:]))
-        ]
-        for inner in inners:
-            for n in (1, 2, 3):
-                tableaux = [t.rows for t in generate_ssyt(outer, inner, n)]
-                assert tableaux == ssyt_by_product(outer, inner, n), (outer, inner, n)
+    for outer, inner in skew_shapes_up_to_weight(5):
+        for n in (1, 2, 3):
+            tableaux = [t.rows for t in generate_ssyt(outer, inner, n)]
+            assert tableaux == ssyt_by_product(outer, inner, n), (outer, inner, n)
+
+
+def test_schur_via_tableaux_matches_enumeration_on_every_small_shape():
+    shapes = list(skew_shapes_up_to_weight(6))
+    assert ((), ()) in shapes and ((2, 1), (1, 0)) in shapes
+    for outer, inner in shapes:
+        for n in range(1, 6):
+            expected = schur_by_enumeration(outer, inner, n)
+            assert schur_via_tableaux(outer, inner, n) == expected, (outer, inner, n)
+
+
+@st.composite
+def skew_shapes(draw, max_weight=8):
+    """(outer, inner): outer of weight <= max_weight, inner fitting, 0-2 trailing zeros."""
+    outer = []
+    for part in sorted(draw(st.lists(st.integers(1, max_weight))), reverse=True):
+        if sum(outer) + part <= max_weight:
+            outer.append(part)
+    inner = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min([part] + inner[-1:]))))
+    return tuple(outer), tuple(inner) + (0,) * draw(st.integers(0, 2))
+
+
+@given(skew_shapes(), st.integers(min_value=1, max_value=5))
+@example(((), ()), 3)
+@example(((3, 2), (1, 0, 0)), 2)
+def test_schur_via_tableaux_matches_enumeration(shape, n):
+    outer, inner = shape
+    assert schur_via_tableaux(outer, inner, n) == schur_by_enumeration(outer, inner, n)
+
+
+def test_schur_via_tableaux_rejects_no_variables():
+    with pytest.raises(ValueError):
+        schur_via_tableaux((1,), (), 0)
 
 
 def test_schur_21_monomial_expansion():
