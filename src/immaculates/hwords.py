@@ -73,7 +73,8 @@ class TermMap:
     """A finite exact integer combination of hashable keys; zeros are never stored.
 
     Immutable by convention.  Each slot a subclass adds is part of its
-    value and prints before the terms in ``repr``.
+    value and prints before the terms in ``repr``; two term maps are equal
+    when they share the class, those slots and the terms.
     """
 
     __slots__ = ("_terms",)
@@ -98,8 +99,21 @@ class TermMap:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._slot_values() == other._slot_values()
+            and self._terms == other._terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._slot_values(), frozenset(self._terms.items())))
+
     def __repr__(self) -> str:
-        head = "".join(f"{getattr(self, name)!r}, " for name in type(self).__slots__)
+        head = "".join(f"{value!r}, " for value in self._slot_values())
         return f"{type(self).__name__}({head}{self.render()!r})"
 
     def _graded(self, grade, reverse: bool):
@@ -135,29 +149,6 @@ class HExpansion(TermMap):
         out = cls.__new__(cls)
         out._terms = terms
         return out
-
-    @classmethod
-    def zero(cls) -> "HExpansion":
-        return cls()
-
-    def add_term(self, sign: int, raw: Iterable[int]) -> "HExpansion":
-        """Return the expansion with ``sign`` times the normalized word added.
-
-        A word with a negative subscript contributes nothing; full
-        cancellation removes the entry entirely.
-        """
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        word = normalize_word(raw)
-        if word is None:
-            return self
-        return HExpansion._of(add_terms(dict(self._terms), ((word, sign),)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HExpansion) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def render(self) -> str:
         """Canonical text form, the bit-exact format used by the CLI and fixtures.

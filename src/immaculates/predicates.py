@@ -33,6 +33,7 @@ parts.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -176,19 +177,21 @@ def greedy_h0_term(m: SubscriptMatrix):
     """
     entries = m.entries
     l = m.dim
+    ahat = hat(m.alpha)
+    # entry (i, j) is ahat_i - bhat_j, so the smallest live entry of row i
+    # is ahat_i - max(bhat[col:]): the row is fully nonnegative when ahat_i
+    # reaches that threshold and then holds a zero when it equals it
+    thresholds = list(itertools.accumulate(reversed(hat(m.beta)), max))[::-1]
     remaining = list(range(l))
     column_of_row = [0] * l
     raw = [0] * l
-    for col in range(l):
-        # a row's smallest live entry says both whether it is fully
-        # nonnegative (>= 0) and whether it then holds a zero (== 0)
-        low = {i: min(entries[i][col:]) for i in remaining}
-        full = [i for i in remaining if low[i] >= 0]
+    for col, threshold in enumerate(thresholds):
+        full = [i for i in remaining if ahat[i] >= threshold]
         if not full:
             raise GreedyPreconditionError(
                 f"no fully nonnegative row remains at column {col + 1}"
             )
-        pick = next((i for i in full if low[i] == 0), full[0])
+        pick = next((i for i in full if ahat[i] == threshold), full[0])
         column_of_row[pick] = col + 1
         raw[pick] = entries[pick][col]
         remaining.remove(pick)

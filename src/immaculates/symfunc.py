@@ -27,16 +27,21 @@ def _add_exponents(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, e1, e2))
 
 
+def _nvars(n) -> int:
+    """The variable count as an int; rejects non-integral numbers and n < 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("need at least one variable")
+    return n
+
+
 class Poly(TermMap):
     """Sparse polynomial with exact int coefficients in ``nvars`` variables."""
 
     __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=()):
-        nvars = operator.index(nvars)
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        self.nvars = nvars
+        self.nvars = nvars = _nvars(nvars)
 
         def checked_exponents(raw) -> tuple[int, ...]:
             exps = tuple(map(operator.index, raw))
@@ -55,25 +60,11 @@ class Poly(TermMap):
         return out
 
     @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars: int) -> "Poly":
         return cls(nvars, {(0,) * nvars: 1})
 
     def exponents(self):
         return self._terms.keys()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.nvars == other.nvars
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
 
     def _require_same_vars(self, other: "Poly") -> None:
         if self.nvars != other.nvars:
@@ -127,10 +118,9 @@ def h_poly(k: int, n: int) -> Poly:
     Sum of all monomials over weakly increasing index selections; degree
     0 gives 1 and negative degrees give the zero polynomial.
     """
-    if n < 1:
-        raise ValueError("need at least one variable")
+    n = _nvars(n)
     if k < 0:
-        return Poly.zero(n)
+        return Poly(n)
     terms: dict[tuple[int, ...], int] = {}
     for combo in itertools.combinations_with_replacement(range(n), k):
         exps = [0] * n
@@ -230,9 +220,7 @@ def schur_via_tableaux(outer, inner, n: int) -> Poly:
     only to ``kappa = outer``.
     """
     outer, inner = _check_skew_shape(outer, inner)
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("need at least one variable")
+    n = _nvars(n)
     level = {inner: {(): 1}}
     for v in range(1, n + 1):
         following: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
@@ -252,8 +240,6 @@ def schur_via_tableaux(outer, inner, n: int) -> Poly:
 
 def _h_terms(n: int):
     """Term maps of ``h_poly(k, n)`` by degree k, built once each; None for k < 0."""
-    if n < 1:
-        raise ValueError("need at least one variable")
     cache: dict[int, dict[tuple[int, ...], int]] = {}
 
     def h(k: int):
@@ -276,6 +262,7 @@ def schur_via_jacobi_trudi(outer, inner, n: int) -> Poly:
     shape gives the 0 x 0 determinant 1.
     """
     outer, inner = _check_skew_shape(outer, inner)
+    n = _nvars(n)
     h = _h_terms(n)
     size = range(len(outer))
     cells = [[h(outer[i] - i - (inner[j] - j)) for j in size] for i in size]
@@ -286,16 +273,25 @@ def forgetful(expansion: HExpansion, n: int) -> Poly:
     """Project an H-expansion onto commuting variables.
 
     Each word (a1, ..., ak) maps to the product of complete homogeneous
-    polynomials of those degrees, extended linearly.
+    polynomials of those degrees, extended linearly.  The image of a word
+    depends only on its letters, so the words are first merged by their
+    sorted letters; each letter multiset then multiplies its h tables
+    once, and the last product, scaled by its coefficient, goes straight
+    into the result.  The unit word multiplies the degree-0 table.
     """
+    n = _nvars(n)
     h = _h_terms(n)
-    acc = Poly.zero(n)
-    for word, coeff in expansion.items():
-        product = Poly.one(n)
-        for a in word:
-            product = product * Poly._of(n, h(a))
-        acc = acc + product * coeff
-    return acc
+    by_letters = add_terms(
+        {}, ((tuple(sorted(word)), coeff) for word, coeff in expansion.items())
+    )
+    acc: dict[tuple[int, ...], int] = {}
+    for letters, coeff in by_letters.items():
+        *head, last = letters or (0,)
+        product = h(0)
+        for a in head:
+            product = add_product({}, product, h(a), _add_exponents, 1)
+        add_product(acc, product, h(last), _add_exponents, coeff)
+    return Poly._of(n, acc)
 
 
 def schur_decompose(p: Poly) -> dict[tuple[int, ...], int]:

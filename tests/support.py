@@ -6,7 +6,8 @@ permutation scan, the counting test has a literal all-subsets form over
 matrix row counts, the repeated-row condition scans matrix rows instead
 of hat values, a polynomial is checked by evaluating it at integer
 points, a term merge is summed in a ``Counter``, a Schur polynomial
-counts the weights of every enumerated tableau, a render sorts with a
+counts the weights of every enumerated tableau, the commutative image
+of an expansion multiplies out every word on its own, a render sorts with a
 Python key function and formats each term with an f-string (monomials
 through this module's own copy of the formatter, so that a rewrite in
 the package is checked against it), and the greedy witness reruns the
@@ -39,7 +40,7 @@ from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import normalize_word
 from immaculates.matrix import SubscriptMatrix
 from immaculates.ndet import SignedSelection
-from immaculates.symfunc import Poly, generate_ssyt
+from immaculates.symfunc import Poly, generate_ssyt, h_poly
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
@@ -190,6 +191,21 @@ def schur_by_enumeration(outer, inner, n) -> Poly:
     """Oracle: the Schur polynomial as the weight count of every enumerated tableau."""
     tableaux = generate_ssyt(outer, inner, n)
     return Poly(n, Counter(tab.weight_exponents(n) for tab in tableaux))
+
+
+def forgetful_by_words(expansion, n) -> Poly:
+    """Oracle for ``forgetful``: each word's h polynomials multiplied in word order.
+
+    No two words are merged; every product is a new ``Poly``, scaled by
+    the word's coefficient and added to the running sum.
+    """
+    acc = Poly(n)
+    for word, coeff in expansion.items():
+        product = Poly.one(n)
+        for a in word:
+            product = product * h_poly(a, n)
+        acc = acc + product * coeff
+    return acc
 
 
 def skew_shapes_up_to_weight(max_weight):
@@ -356,7 +372,7 @@ def m_poly(lam, n: int) -> Poly:
     if n < 1:
         raise ValueError("need at least one variable")
     if len(lam) > n:
-        return Poly.zero(n)
+        return Poly(n)
     padded = lam + (0,) * (n - len(lam))
     return Poly(n, {exps: 1 for exps in set(itertools.permutations(padded))})
 

@@ -5,7 +5,13 @@ import pytest
 from immaculates.hwords import HExpansion, normalize_word
 from immaculates.matrix import validate_pair
 from immaculates.ndet import SignedSelection, immaculate, skew_immaculate
-from immaculates.symfunc import Poly, schur_via_tableaux
+from immaculates.symfunc import (
+    Poly,
+    forgetful,
+    h_poly,
+    schur_via_jacobi_trudi,
+    schur_via_tableaux,
+)
 
 # Each entry point with the number 1 in one of its integer slots; 1 is valid
 # in every slot, so a bool there must give the same result as the int.
@@ -24,6 +30,9 @@ ENTRY_POINTS = {
     "schur outer": lambda x: schur_via_tableaux((2, x), (), 2),
     "schur inner": lambda x: schur_via_tableaux((2, 1), (x,), 2),
     "schur nvars": lambda x: schur_via_tableaux((2, 1), (), x),
+    "h_poly nvars": lambda x: h_poly(2, x),
+    "jacobi-trudi nvars": lambda x: schur_via_jacobi_trudi((2, 1), (), x),
+    "forgetful nvars": lambda x: forgetful(HExpansion({(2, 1): 1}), x),
 }
 
 
@@ -33,3 +42,4 @@ def test_non_integral_numbers_raise_and_ints_and_bools_pass(entry):
         with pytest.raises(TypeError):
             entry(inexact)
     assert entry(True) == entry(1)
+    assert repr(entry(True)) == repr(entry(1))

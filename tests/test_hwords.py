@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from immaculates.hwords import HExpansion, normalize_word
+from immaculates.hwords import HExpansion, add_terms, normalize_word
 
 from support import concat, large_coefficients, merge_with_counter, render_words_by_key_sort
 
@@ -31,23 +31,27 @@ def test_normalize_respects_concatenation(u, v):
 
 
 def test_add_term_examples():
-    e = HExpansion()
-    e = e.add_term(+1, (5, 0, 1))
+    word = normalize_word((5, 0, 1))
+    e = HExpansion([(word, +1)])
     assert e == HExpansion({(5, 1): 1})
-    assert e.add_term(-1, (5, 0, 1)) == HExpansion.zero()
-    assert HExpansion().add_term(+1, (1, -1)) == HExpansion.zero()
+    assert HExpansion([(word, +1), (word, -1)]) == HExpansion()
+    assert normalize_word((1, -1)) is None  # such a word adds no term
 
 
 @given(subscripts)
 def test_add_then_remove_is_identity(raw):
-    base = HExpansion({(2, 2): 3, (): -1})
-    assert base.add_term(+1, raw).add_term(-1, raw) == base
+    base = {(2, 2): 3, (): -1}
+    word = normalize_word(raw)
+    acc = dict(base)
+    for step in [] if word is None else [(word, +1), (word, -1)]:
+        add_terms(acc, [step])
+    assert acc == base
 
 
 def test_expansion_equality():
     a = HExpansion({(4, 2): 1, (3, 1, 2): -1})
     assert a == HExpansion({(3, 1, 2): -1, (4, 2): 1})
-    assert HExpansion() == HExpansion.zero()
+    assert HExpansion() == HExpansion({})
     assert HExpansion({(1, 1): 1, (2,): -1}) != HExpansion({(1, 1): 1})
 
 
@@ -59,7 +63,7 @@ def test_constructor_rejects_unnormalized_words():
 
 
 def test_constructor_drops_zero_coefficients():
-    assert HExpansion({(3,): 0}) == HExpansion.zero()
+    assert HExpansion({(3,): 0}) == HExpansion()
     assert len(HExpansion([((3,), 2), ((3,), -2)])) == 0
 
 
@@ -127,7 +131,7 @@ def test_merge_matches_counter(pairs):
     expected = merge_with_counter(pairs)
     assert dict(HExpansion(pairs).items()) == expected
     unit_steps = [(word, 1 if c > 0 else -1) for word, c in pairs for _ in range(abs(c))]
-    built = HExpansion()
-    for word, sign in unit_steps:
-        built = built.add_term(sign, word)
-    assert dict(built.items()) == expected
+    built = {}
+    for step in unit_steps:
+        add_terms(built, [step])
+    assert built == expected

@@ -18,6 +18,7 @@ from immaculates.symfunc import (
 
 from support import (
     evaluate_terms,
+    forgetful_by_words,
     large_coefficients,
     m_poly,
     partitions_up_to_weight,
@@ -36,7 +37,7 @@ def poly_from(n, monomials):
 def test_h_poly_small():
     assert h_poly(2, 2) == poly_from(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert h_poly(0, 3) == Poly.one(3)
-    assert h_poly(-1, 3) == Poly.zero(3)
+    assert h_poly(-1, 3) == Poly(3)
     assert len(h_poly(3, 3)) == 10  # all ten degree-3 monomials, coefficient 1
     assert all(c == 1 for _, c in h_poly(3, 3).items())
 
@@ -47,7 +48,7 @@ def test_m_poly_examples():
     )
     assert m_poly((4,), 1) == poly_from(1, {(4,): 1})
     assert len(m_poly((2, 1), 3)) == 6
-    assert m_poly((1, 1), 1) == Poly.zero(1)
+    assert m_poly((1, 1), 1) == Poly(1)
     with pytest.raises(ValueError):
         m_poly((1, 2), 3)
 
@@ -58,7 +59,7 @@ def test_poly_arithmetic_and_render():
     assert (p + q) * (p + q) == p * p + 2 * (p * q) + q * q
     assert (p - p).is_zero()
     assert (p * q).render() == "+1·x1·x2"
-    assert Poly.zero(2).render() == "0"
+    assert Poly(2).render() == "0"
     assert Poly.one(2).render() == "+1"
     assert (3 * p * p - q).render() == "+3·x1^2 -1·x2"
 
@@ -79,10 +80,24 @@ def test_poly_render_matches_key_sort_oracle(drawn):
     assert Poly(n, terms).render() == render_poly_by_key_sort(terms)
 
 
+def test_term_map_equality_reads_class_slots_and_terms():
+    assert HExpansion() != Poly(1)
+    assert Poly(1) != HExpansion()
+    assert HExpansion({(2,): 1}) != Poly(1, {(2,): 1})
+    assert Poly(2) != Poly(3)
+    assert Poly(2, {(1, 0): 1}) != Poly(2, {(1, 0): 2})
+    words = HExpansion({(4, 2): 1, (3, 1, 2): -1})
+    assert words == HExpansion([((3, 1, 2), -1), ((4, 2), 1), ((1,), 0)])
+    assert hash(words) == hash(HExpansion([((3, 1, 2), -1), ((4, 2), 1)]))
+    assert hash(Poly(2, {(1, 0): 1, (0, 1): 1})) == hash(h_poly(1, 2))
+    assert hash(Poly(3)) == hash(Poly(3, {(1, 0, 0): 0}))
+    assert len({Poly(2), Poly(2, {}), Poly(3), HExpansion(), words}) == 4
+
+
 def test_poly_repr():
     p = Poly(3, {(2, 0, 1): -3, (0, 0, 0): 2, (1, 0, 0): 1})
     assert repr(p) == "Poly(3, '-3·x1^2·x3 +1·x1 +2')"
-    assert repr(Poly.zero(2)) == "Poly(2, '0')"
+    assert repr(Poly(2)) == "Poly(2, '0')"
 
 
 @st.composite
@@ -257,9 +272,36 @@ def test_symmetry_under_variable_swap():
 
 def test_forgetful_examples():
     assert forgetful(immaculate((2, 1)), 3) == schur_via_tableaux((2, 1), (), 3)
-    assert forgetful(HExpansion.zero(), 3) == Poly.zero(3)
+    assert forgetful(HExpansion(), 3) == Poly(3)
     assert forgetful(HExpansion({(3,): 1}), 3) == h_poly(3, 3)
     assert forgetful(HExpansion({(): 2}), 2) == 2 * Poly.one(2)
+
+
+@st.composite
+def expansions_with_rearranged_words(draw):
+    """(n, expansion) in 1..4 variables whose words come back rearranged.
+
+    The unit word is always a term.  Each drawn word appears again in a
+    drawn order of its letters, with the opposite, the same or twice its
+    coefficient, so the letter multisets merge, and often cancel.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
+    words = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4)
+    pairs = [((), draw(coeffs))]
+    for word in draw(st.lists(words, min_size=1, max_size=4)):
+        coeff = draw(coeffs)
+        again = draw(st.sampled_from((-coeff, coeff, 2 * coeff)))
+        pairs += [(tuple(word), coeff), (tuple(draw(st.permutations(word))), again)]
+    return n, HExpansion(pairs)
+
+
+@given(expansions_with_rearranged_words())
+@example((2, HExpansion({(1, 2): 1, (2, 1): -1, (): 3})))
+@example((3, HExpansion({(1, 2, 2): 2, (2, 1, 2): 1, (2, 2, 1): -3})))
+def test_forgetful_matches_word_by_word_oracle(drawn):
+    n, expansion = drawn
+    assert forgetful(expansion, n) == forgetful_by_words(expansion, n)
 
 
 def test_forgetful_respects_weight_grading():
@@ -270,7 +312,7 @@ def test_forgetful_respects_weight_grading():
 def test_schur_decompose_roundtrip():
     combo = 2 * schur_via_tableaux((2, 1), (), 3) + schur_via_tableaux((3,), (), 3)
     assert schur_decompose(combo) == {(2, 1): 2, (3,): 1}
-    assert schur_decompose(Poly.zero(3)) == {}
+    assert schur_decompose(Poly(3)) == {}
 
 
 def test_schur_decompose_rejects_nonsymmetric():
