@@ -41,7 +41,6 @@ from .predicates import (
 )
 from .symfunc import (
     Poly,
-    Tableau,
     forgetful,
     generate_ssyt,
     h_poly,

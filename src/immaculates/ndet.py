@@ -16,7 +16,6 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .compositions import is_composition
 from .errors import DimensionCapError
 from .hwords import HExpansion, add_product
 from .matrix import SubscriptMatrix, build_matrix
@@ -128,10 +127,8 @@ def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:
 def immaculate(mu, cap=DEFAULT_DIM_CAP) -> HExpansion:
     """H-basis expansion of the basis element indexed by a composition.
 
-    Equals the skew expansion against the all-zero sequence; the (i, j)
-    subscript of the underlying matrix is mu_i - i + j.
+    Equals the skew expansion against the all-zero sequence, which checks
+    ``mu``; the (i, j) subscript of the underlying matrix is mu_i - i + j.
     """
-    mu = tuple(map(operator.index, mu))
-    if not is_composition(mu):
-        raise ValueError(f"index must be a composition (positive parts): {mu!r}")
+    mu = tuple(mu)
     return skew_immaculate(mu, (0,) * len(mu), cap=cap)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 
 from .compositions import hat, is_zero_padded_partition
-from .errors import GreedyPreconditionError
+from .errors import DimensionCapError, GreedyPreconditionError
 from .hwords import HExpansion, normalize_word
 from .matrix import SubscriptMatrix, build_matrix, validate_pair
 from .ndet import DEFAULT_DIM_CAP, SignedSelection, ndet_laplace
@@ -59,8 +59,8 @@ class Classification:
     """Outcome plus, when available, a certificate permutation and witness.
 
     ``certificate`` maps rows to columns (1-based) over nonnegative
-    subscripts; ``witness`` is a surviving term or the full expansion,
-    depending on the branch that produced the outcome.
+    subscripts; ``witness`` is the greedy term (PROVABLY_NONZERO) or the
+    full expansion (NONZERO_TERM_EXISTS), None above the cap, as ``note`` says.
     """
 
     outcome: Outcome
@@ -210,9 +210,8 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     dimension.  A partition skew meeting the no-cancellation conditions
     is provably nonzero, witnessed by the greedy term.  Otherwise a
     matching certificate shows a term survives pre-cancellation, and
-    under the dimension cap the exact expansion decides whether
-    cancellation removes them all; above the cap that question is left
-    open.
+    ``ndet_laplace`` under ``oracle_cap`` (None: no cap) decides whether
+    cancellation removes them all; above the cap that question is left open.
     """
     alpha, beta = validate_pair(alpha, beta)
     ahat, bhat = hat(alpha), hat(beta)
@@ -230,16 +229,17 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
             certificate=selection.column_of_row,
             witness=HExpansion({word: sign}),
         )
-    certificate = find_matching_certificate(matrix)
-    if oracle_cap is not None and matrix.dim <= oracle_cap:
-        expansion = ndet_laplace(matrix, cap=oracle_cap)
-        if expansion.is_zero():
+    witness = note = None
+    try:
+        witness = ndet_laplace(matrix, cap=oracle_cap)
+    except DimensionCapError:
+        note = "cancellation undecided: dimension exceeds the exact-expansion cap"
+    else:
+        if witness.is_zero():
             return Classification(Outcome.ZERO_AFTER_CANCELLATION)
-        return Classification(
-            Outcome.NONZERO_TERM_EXISTS, certificate=certificate, witness=expansion
-        )
     return Classification(
         Outcome.NONZERO_TERM_EXISTS,
-        certificate=certificate,
-        note="cancellation undecided: dimension exceeds the exact-expansion cap",
+        certificate=find_matching_certificate(matrix),
+        witness=witness,
+        note=note,
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import NamedTuple
 
 from .compositions import is_partition, is_zero_padded_partition, strip_trailing_zeros
 from .hwords import HExpansion, TermMap, add_product, add_terms
@@ -58,10 +57,6 @@ class Poly(TermMap):
         out.nvars = nvars
         out._terms = terms
         return out
-
-    @classmethod
-    def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: 1})
 
     def exponents(self):
         return self._terms.keys()
@@ -130,25 +125,6 @@ def h_poly(k: int, n: int) -> Poly:
     return Poly._of(n, terms)
 
 
-class Tableau(NamedTuple):
-    """A filling of a (possibly skew) shape; bottom row first.
-
-    ``rows[r]`` holds the entries of the unshaded cells of row r, left
-    to right; the inner shape contributes no entries.
-    """
-
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def weight_exponents(self, n: int) -> tuple[int, ...]:
-        exps = [0] * n
-        for row in self.rows:
-            for value in row:
-                exps[value - 1] += 1
-        return tuple(exps)
-
-
 def _check_skew_shape(outer, inner):
     outer = tuple(map(operator.index, outer))
     inner = strip_trailing_zeros(map(operator.index, inner))
@@ -167,15 +143,15 @@ def _check_skew_shape(outer, inner):
 def generate_ssyt(outer, inner, n: int):
     """Yield every semistandard filling of outer/inner with entries in 1..n.
 
-    Cells are filled bottom row first, left to right, candidate values
-    ascending, so enumeration order is lexicographic on the filling
-    sequence and deterministic across runs.  The filling is one flat
-    list in that cell order; each cell's left and lower neighbours are
-    looked up once as indices into it, and a leaf slices its rows out.
+    A filling is a tuple of rows, bottom row first, each holding its cells
+    outside the inner shape left to right.  Cells are filled in that order,
+    candidate values ascending, so enumeration is lexicographic on the
+    filling sequence and deterministic.  The filling is one flat list in
+    cell order; each cell's left and lower neighbours are looked up once
+    as indices into it, and a leaf slices its rows out.
     """
     outer, inner = _check_skew_shape(outer, inner)
-    if n < 1:
-        raise ValueError("need at least one value")
+    n = _nvars(n)
     cells, spans = [], []
     for r in range(len(outer)):
         start = len(cells)
@@ -191,7 +167,7 @@ def generate_ssyt(outer, inner, n: int):
 
     def fill(pos: int):
         if pos == size:
-            yield Tableau(outer, inner, tuple(tuple(values[s]) for s in spans))
+            yield tuple(tuple(values[s]) for s in spans)
             return
         for value in range(max(values[left[pos]], values[below[pos]] + 1), n + 1):
             values[pos] = value

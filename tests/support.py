@@ -189,8 +189,13 @@ def ssyt_by_product(outer, inner, n):
 
 def schur_by_enumeration(outer, inner, n) -> Poly:
     """Oracle: the Schur polynomial as the weight count of every enumerated tableau."""
-    tableaux = generate_ssyt(outer, inner, n)
-    return Poly(n, Counter(tab.weight_exponents(n) for tab in tableaux))
+    weights = Counter()
+    for rows in generate_ssyt(outer, inner, n):
+        exps = [0] * n
+        for value in itertools.chain.from_iterable(rows):
+            exps[value - 1] += 1
+        weights[tuple(exps)] += 1
+    return Poly(n, weights)
 
 
 def forgetful_by_words(expansion, n) -> Poly:
@@ -201,7 +206,7 @@ def forgetful_by_words(expansion, n) -> Poly:
     """
     acc = Poly(n)
     for word, coeff in expansion.items():
-        product = Poly.one(n)
+        product = Poly(n, {(0,) * n: 1})
         for a in word:
             product = product * h_poly(a, n)
         acc = acc + product * coeff

@@ -8,6 +8,7 @@ from immaculates.ndet import SignedSelection, immaculate, skew_immaculate
 from immaculates.symfunc import (
     Poly,
     forgetful,
+    generate_ssyt,
     h_poly,
     schur_via_jacobi_trudi,
     schur_via_tableaux,
@@ -33,6 +34,7 @@ ENTRY_POINTS = {
     "h_poly nvars": lambda x: h_poly(2, x),
     "jacobi-trudi nvars": lambda x: schur_via_jacobi_trudi((2, 1), (), x),
     "forgetful nvars": lambda x: forgetful(HExpansion({(2, 1): 1}), x),
+    "ssyt nvars": lambda x: list(generate_ssyt((2, 1), (), x)),
 }
 
 

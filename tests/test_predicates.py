@@ -219,6 +219,15 @@ def test_classify_above_cap_leaves_cancellation_undecided():
     assert "undecided" in result.note
 
 
+def test_classify_without_cap_expands_exactly():
+    # oracle_cap=None means no cap, as in ndet_laplace: the 3x3 matrix is
+    # expanded and its cancellation decided
+    result = classify((6, 4, 3), (2, 4, 1), oracle_cap=None)
+    assert result.outcome is Outcome.NONZERO_TERM_EXISTS
+    assert result.witness == skew_immaculate((6, 4, 3), (2, 4, 1))
+    assert result.note is None
+
+
 def test_classify_decides_equal_columns_above_cap():
     # beta (1, 2, 0) has bhat (0, 0, -3): columns 1 and 2 are equal, so the
     # expansion is 0 and no exact expansion is needed to say so
