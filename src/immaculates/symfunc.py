@@ -9,7 +9,9 @@ forgets noncommutativity by sending each generator subscript a to the
 complete homogeneous polynomial of degree a.
 
 Everything is exact sparse integer arithmetic over a fixed variable
-count; exponent vectors are tuples of that length.
+count.  Exponent vectors are tuples of that length; inside the h tables,
+Jacobi-Trudi and the projection each is one int, digit i (``width`` bits)
+holding the exponent of variable i + 1.
 """
 
 from __future__ import annotations
@@ -107,22 +109,36 @@ class Poly(TermMap):
         ]) or "0"
 
 
+def _packed_h_tables(top: int, n: int, width: int) -> list[dict[int, int]]:
+    """Term maps of h_0..h_top in n variables on packed keys, coefficients 1.
+
+    Adds x_i by ``h_k(x_1..x_i) = sum_e x_i^e h_(k-e)(x_1..x_(i-1))``, the old
+    h_k plus x_i times the new h_(k-1); every exponent must be below ``2**width``.
+    """
+    tables = [{0: 1}] + [{} for _ in range(top)]
+    for step in [1 << i * width for i in range(n)]:
+        for k in range(1, top + 1):
+            tables[k].update(dict.fromkeys([key + step for key in tables[k - 1]], 1))
+    return tables
+
+
+def _unpacked(terms: dict[int, int], n: int, width: int) -> dict[tuple[int, ...], int]:
+    """The term map with each packed key spread into its exponent tuple."""
+    mask, shifts = (1 << width) - 1, [i * width for i in range(n)]
+    return {tuple([key >> s & mask for s in shifts]): c for key, c in terms.items()}
+
+
 def h_poly(k: int, n: int) -> Poly:
     """Complete homogeneous polynomial of degree k in n variables.
 
-    Sum of all monomials over weakly increasing index selections; degree
-    0 gives 1 and negative degrees give the zero polynomial.
+    Sum of all monomials of degree k, whose exponents are at most k;
+    degree 0 gives 1 and negative degrees give the zero polynomial.
     """
     n = _nvars(n)
     if k < 0:
         return Poly(n)
-    terms: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        terms[tuple(exps)] = 1
-    return Poly._of(n, terms)
+    width = operator.index(k).bit_length()
+    return Poly._of(n, _unpacked(_packed_h_tables(k, n, width)[k], n, width))
 
 
 def _check_skew_shape(outer, inner):
@@ -214,35 +230,26 @@ def schur_via_tableaux(outer, inner, n: int) -> Poly:
     return Poly._of(n, level.get(outer, {}))
 
 
-def _h_terms(n: int):
-    """Term maps of ``h_poly(k, n)`` by degree k, built once each; None for k < 0."""
-    cache: dict[int, dict[tuple[int, ...], int]] = {}
-
-    def h(k: int):
-        if k < 0:
-            return None
-        if k not in cache:
-            cache[k] = h_poly(k, n)._terms
-        return cache[k]
-
-    return h
-
-
 def schur_via_jacobi_trudi(outer, inner, n: int) -> Poly:
     """Schur polynomial as the determinant of complete homogeneous entries.
 
     Entry (i, j) is the complete homogeneous polynomial of degree
     (outer_i - i) - (inner_j - j) (1-based indices); negative degrees are
     the zero polynomial, which prunes the expansion.  The determinant is
-    the layered Laplace expansion of ``ndet``, bottom row first; the empty
-    shape gives the 0 x 0 determinant 1.
+    the layered Laplace expansion of ``ndet``, bottom row first, on packed
+    keys; the empty shape gives the 0 x 0 determinant 1.  No digit carries:
+    a minor's term takes one entry per row, and no row's largest degree is
+    negative (row i ends in degree outer_i - inner_l + l - i), so the sum
+    of the rows' largest degrees bounds the term's degree and exponents.
     """
     outer, inner = _check_skew_shape(outer, inner)
     n = _nvars(n)
-    h = _h_terms(n)
     size = range(len(outer))
-    cells = [[h(outer[i] - i - (inner[j] - j)) for j in size] for i in size]
-    return Poly._of(n, _layered_laplace(cells, (0,) * n, _add_exponents))
+    degrees = [[outer[i] - i - (inner[j] - j) for j in size] for i in size]
+    width = sum(map(max, degrees)).bit_length()
+    h = _packed_h_tables(max(map(max, degrees), default=0), n, width)
+    cells = [[h[d] if d >= 0 else None for d in row] for row in degrees]
+    return Poly._of(n, _unpacked(_layered_laplace(cells, 0, operator.add), n, width))
 
 
 def forgetful(expansion: HExpansion, n: int) -> Poly:
@@ -253,21 +260,24 @@ def forgetful(expansion: HExpansion, n: int) -> Poly:
     depends only on its letters, so the words are first merged by their
     sorted letters; each letter multiset then multiplies its h tables
     once, and the last product, scaled by its coefficient, goes straight
-    into the result.  The unit word multiplies the degree-0 table.
+    into the result.  The unit word multiplies the degree-0 table.  Keys
+    are packed: a partial product's exponents are at most the sum of its
+    letters, so the largest letter sum bounds them all.
     """
     n = _nvars(n)
-    h = _h_terms(n)
     by_letters = add_terms(
         {}, ((tuple(sorted(word)), coeff) for word, coeff in expansion.items())
     )
-    acc: dict[tuple[int, ...], int] = {}
+    width = max(map(sum, by_letters), default=0).bit_length()
+    h = _packed_h_tables(max(itertools.chain(*by_letters), default=0), n, width)
+    acc: dict[int, int] = {}
     for letters, coeff in by_letters.items():
         *head, last = letters or (0,)
-        product = h(0)
+        product = h[0]
         for a in head:
-            product = add_product({}, product, h(a), _add_exponents, 1)
-        add_product(acc, product, h(last), _add_exponents, coeff)
-    return Poly._of(n, acc)
+            product = add_product({}, product, h[a], operator.add, 1)
+        add_product(acc, product, h[last], operator.add, coeff)
+    return Poly._of(n, _unpacked(acc, n, width))
 
 
 def schur_decompose(p: Poly) -> dict[tuple[int, ...], int]:

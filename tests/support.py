@@ -6,12 +6,14 @@ permutation scan, the counting test has a literal all-subsets form over
 matrix row counts, the repeated-row condition scans matrix rows instead
 of hat values, a polynomial is checked by evaluating it at integer
 points, a term merge is summed in a ``Counter``, a Schur polynomial
-counts the weights of every enumerated tableau, the commutative image
-of an expansion multiplies out every word on its own, a render sorts with a
-Python key function and formats each term with an f-string (monomials
-through this module's own copy of the formatter, so that a rewrite in
-the package is checked against it), and the greedy witness reruns the
-all-subsets test on every live submatrix.  A census record is
+counts the weights of every enumerated tableau, a complete homogeneous
+polynomial lists every weakly increasing selection of its variables, the
+commutative image of an expansion multiplies out every word on its own
+(through that list), a render sorts with a Python key function and
+formats each term with an f-string (monomials through this module's own
+copy of the formatter, so that a rewrite in the package is checked
+against it), and the greedy witness reruns the all-subsets test on every
+live submatrix.  A census record is
 classified pair by pair, with a fresh expansion to count its terms.  The
 structural checks on sign patterns, the per-selection term, ``unhat``,
 monomial polynomials and variable relabelling live here too: only the
@@ -40,7 +42,7 @@ from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import normalize_word
 from immaculates.matrix import SubscriptMatrix
 from immaculates.ndet import SignedSelection
-from immaculates.symfunc import Poly, generate_ssyt, h_poly
+from immaculates.symfunc import Poly, generate_ssyt
 
 SUITE2_SEED = 0xA11CE
 SUITE3_SEED = 0xB0B
@@ -198,17 +200,32 @@ def schur_by_enumeration(outer, inner, n) -> Poly:
     return Poly(n, weights)
 
 
+def h_poly_by_combinations(k, n) -> Poly:
+    """Oracle for ``h_poly``: a monomial per weakly increasing choice of k variables."""
+    if k < 0:
+        return Poly(n)
+    terms = {}
+    for combo in itertools.combinations_with_replacement(range(n), k):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        terms[tuple(exps)] = 1
+    return Poly(n, terms)
+
+
 def forgetful_by_words(expansion, n) -> Poly:
     """Oracle for ``forgetful``: each word's h polynomials multiplied in word order.
 
     No two words are merged; every product is a new ``Poly``, scaled by
-    the word's coefficient and added to the running sum.
+    the word's coefficient and added to the running sum.  The h
+    polynomials come from ``h_poly_by_combinations``, not from the
+    package's packed tables.
     """
     acc = Poly(n)
     for word, coeff in expansion.items():
         product = Poly(n, {(0,) * n: 1})
         for a in word:
-            product = product * h_poly(a, n)
+            product = product * h_poly_by_combinations(a, n)
         acc = acc + product * coeff
     return acc
 

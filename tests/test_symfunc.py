@@ -19,6 +19,7 @@ from immaculates.symfunc import (
 from support import (
     evaluate_terms,
     forgetful_by_words,
+    h_poly_by_combinations,
     large_coefficients,
     m_poly,
     partitions_up_to_weight,
@@ -40,6 +41,13 @@ def test_h_poly_small():
     assert h_poly(-1, 3) == Poly(3)
     assert len(h_poly(3, 3)) == 10  # all ten degree-3 monomials, coefficient 1
     assert all(c == 1 for _, c in h_poly(3, 3).items())
+
+
+def test_h_poly_matches_combinations():
+    # degrees 1, 2, 3, 4, 7 and 8 sit at the edges of a packed digit's width
+    for k in range(-1, 11):
+        for n in range(1, 6):
+            assert h_poly(k, n) == h_poly_by_combinations(k, n), (k, n)
 
 
 def test_m_poly_examples():
@@ -242,6 +250,24 @@ def test_single_row_schur_is_h():
             assert schur_via_tableaux((k,), (), n) == h_poly(k, n)
 
 
+def test_schur_via_jacobi_trudi_matches_enumeration_on_every_small_shape():
+    for outer, inner in skew_shapes_up_to_weight(6):
+        for n in range(1, 6):
+            expected = schur_by_enumeration(outer, inner, n)
+            got = schur_via_jacobi_trudi(outer, inner, n)
+            assert got == expected, (outer, inner, n)
+
+
+@given(skew_shapes(), st.integers(min_value=1, max_value=5))
+@example(((), ()), 3)
+@example(((4, 4), (0, 0)), 2)
+@example(((3, 3, 2), (1, 0, 0)), 3)
+def test_schur_via_jacobi_trudi_matches_enumeration(shape, n):
+    outer, inner = shape
+    expected = schur_by_enumeration(outer, inner, n)
+    assert schur_via_jacobi_trudi(outer, inner, n) == expected
+
+
 def test_tableaux_equal_determinant_on_sample():
     rng = random.Random(7)
     for _ in range(25):
@@ -302,6 +328,22 @@ def expansions_with_rearranged_words(draw):
 def test_forgetful_matches_word_by_word_oracle(drawn):
     n, expansion = drawn
     assert forgetful(expansion, n) == forgetful_by_words(expansion, n)
+
+
+def test_forgetful_at_packed_width_edges():
+    # letter sums 2^j - 1 and 2^j: the largest exponent fills its digit's
+    # width or needs one more bit
+    words = [(1,), (2,), (1, 1, 1), (7,), (8,), (4, 4), (15, 1), (3, 3, 2)]
+    expansions = [HExpansion({word: 1}) for word in words] + [
+        HExpansion({(8,): 1, (2, 3, 3): -1, (15, 1): 2, (): 5}),
+        HExpansion({(): -3}),
+        HExpansion(),
+    ]
+    for n in (1, 2, 3):
+        for expansion in expansions:
+            expected = forgetful_by_words(expansion, n)
+            assert forgetful(expansion, n) == expected, (expansion, n)
+    assert forgetful(HExpansion({(): -3}), 2) == Poly(2, {(0, 0): -3})
 
 
 def test_forgetful_respects_weight_grading():
