@@ -93,14 +93,11 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     Each composition is formatted, hatted and sorted once.  A pair that
     fails the counting test on the sorted hats is recorded as
     ALL_ZERO_PRE_CANCELLATION at once; every other pair goes through
-    :func:`classify`, capped at dimension ``length``, which the caller
-    already holds to the length cap, so every class is exact.  A passing
-    pair with two equal columns (a repeated bhat) is recorded as
-    ZERO_AFTER_CANCELLATION without an expansion; only the others reach
-    the exact one.  ``terms`` is the length of the witness: both sequences
-    have weight n, so a passing pair has sorted(ahat) == sorted(bhat),
-    every surviving term is the unit word, and the expansion has at most
-    one term.
+    :func:`classify`.  Both sequences have weight n, so a passing pair has
+    sorted(ahat) == sorted(bhat): a repeated bhat is ZERO_AFTER_CANCELLATION,
+    and distinct bhat means no row repeats, so the greedy witness decides
+    every other pair and no row reaches the exact expansion.  ``terms`` is
+    the length of the witness, 0 or 1, as is that of the expansion.
 
     Each record is a tuple in CENSUS_FIELDS order: ``(alpha, beta, class,
     certificate or None, terms, micros)``.
@@ -115,7 +112,7 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
         for beta, beta_text, bhat_sorted in betas:
             started = clock() if timings else 0
             if _dominates_sorted(ahat_sorted, bhat_sorted):
-                result = classify(alpha, beta, oracle_cap=length)
+                result = classify(alpha, beta)
                 outcome = result.outcome.value
                 certificate = (
                     format_certificate(result.certificate)

@@ -17,23 +17,22 @@ the two hat sequences:
   bhat": two rows are identical iff their ahat values are equal, and a
   row holds a zero iff its ahat value is in bhat.  A greedily built term
   then captures every zero subscript and survives all cancellation, so
-  the whole expansion is nonzero.
-
+  the whole expansion is nonzero.  A skew with distinct bhat is a
+  partition skew with its columns permuted, so the same test decides it;
 * two equal columns (a repeated bhat value) make the expansion exactly
   zero at any dimension: the determinant takes its factors in row order,
   and swapping the two columns pairs each surviving term with one of the
   same word and the opposite sign.  A partition skew never has them.
 
 :func:`classify` therefore builds a matrix only for pairs that pass the
-counting test, and only the passing pairs without equal columns reach
-the matching and the exact expansion.  Skewing sequences may be weak
-(trailing zeros) even though the classical statements concern positive
-parts.
+counting test, and only the residual pairs, with distinct bhat and two
+identical rows holding a zero, reach the exact expansion.  Skewing
+sequences may be weak (trailing zeros) even though the classical
+statements concern positive parts.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from enum import Enum, unique
 
 from .compositions import hat, is_zero_padded_partition
 from .errors import DimensionCapError, GreedyPreconditionError
-from .hwords import HExpansion, normalize_word
+from .hwords import HExpansion
 from .matrix import SubscriptMatrix, build_matrix, validate_pair
 from .ndet import DEFAULT_DIM_CAP, SignedSelection, ndet_laplace
 
@@ -59,8 +58,8 @@ class Classification:
     """Outcome plus, when available, a certificate permutation and witness.
 
     ``certificate`` maps rows to columns (1-based) over nonnegative
-    subscripts; ``witness`` is the greedy term (PROVABLY_NONZERO) or the
-    full expansion (NONZERO_TERM_EXISTS), None above the cap, as ``note`` says.
+    subscripts; ``witness`` is the one-term greedy witness when the hats
+    decide the pair, else the full expansion; None above the cap (``note``).
     """
 
     outcome: Outcome
@@ -164,28 +163,23 @@ def nocancel_conditions_hold(alpha, lam) -> bool:
 def greedy_h0_term(m: SubscriptMatrix):
     """Build the surviving term that captures every zero subscript.
 
-    Working on the live submatrix (columns are consumed left to right),
-    each step picks a row whose remaining entries are all nonnegative,
-    preferring one that still contains a zero, else the topmost, and
-    assigns it the current leftmost column.  Returns (sign, word,
-    selection).  Raises GreedyPreconditionError if no remaining row is
-    fully nonnegative at some step, which cannot happen when the
-    no-cancellation conditions hold for the source pair.  The live
-    submatrix needs no counting test of its own: its nonnegative entries
-    still form a Ferrers board, so when that test fails no matching is
-    left and a later step finds no row to take.
+    Columns are taken by falling bhat, ties left to right.  Entry (i, j)
+    is ahat_i - bhat_j, so a row is nonnegative on every live column when
+    its ahat reaches the current column's bhat, and holds a live zero
+    when the two are equal.  Each step gives the current column to such
+    a row, one with a zero if any, else the topmost.  Returns (sign,
+    word, selection), read from the hats alone.  Raises
+    GreedyPreconditionError exactly when the counting test fails: a row
+    that clears a threshold clears every later one, so no pick blocks a
+    later column.
     """
-    entries = m.entries
+    ahat, bhat = hat(m.alpha), hat(m.beta)
     l = m.dim
-    ahat = hat(m.alpha)
-    # entry (i, j) is ahat_i - bhat_j, so the smallest live entry of row i
-    # is ahat_i - max(bhat[col:]): the row is fully nonnegative when ahat_i
-    # reaches that threshold and then holds a zero when it equals it
-    thresholds = list(itertools.accumulate(reversed(hat(m.beta)), max))[::-1]
     remaining = list(range(l))
     column_of_row = [0] * l
     raw = [0] * l
-    for col, threshold in enumerate(thresholds):
+    for col in sorted(range(l), key=bhat.__getitem__, reverse=True):
+        threshold = bhat[col]
         full = [i for i in remaining if ahat[i] >= threshold]
         if not full:
             raise GreedyPreconditionError(
@@ -193,25 +187,31 @@ def greedy_h0_term(m: SubscriptMatrix):
             )
         pick = next((i for i in full if ahat[i] == threshold), full[0])
         column_of_row[pick] = col + 1
-        raw[pick] = entries[pick][col]
+        raw[pick] = ahat[pick] - threshold
         remaining.remove(pick)
-    word = normalize_word(raw)
-    assert word is not None  # selected subscripts are nonnegative by construction
     selection = SignedSelection.from_columns(column_of_row)
-    return selection.sign, word, selection
+    return selection.sign, tuple(filter(None, raw)), selection
 
 
 def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     """Aggregate the tests, refining with the exact expansion when cheap.
 
-    Failure of the counting test proves every term vanishes; it reads
-    only the hat sequences, so no matrix is built for such a pair.  A
-    matrix with two equal columns expands to exactly zero, at any
-    dimension.  A partition skew meeting the no-cancellation conditions
-    is provably nonzero, witnessed by the greedy term.  Otherwise a
-    matching certificate shows a term survives pre-cancellation, and
-    ``ndet_laplace`` under ``oracle_cap`` (None: no cap) decides whether
-    cancellation removes them all; above the cap that question is left open.
+    Failure of the counting test proves every term vanishes (no matrix is
+    built); two equal columns make the expansion exactly zero.  With
+    distinct bhat and no two identical rows holding a zero, the greedy
+    term survives all cancellation: for a partition skew by the
+    no-cancellation theorem, and otherwise by reduction to one.  Permuting
+    the columns multiplies every term by the permutation's sign.  Sorting
+    the distinct bhat falling, s_1 > ... > s_l, gives the hats of lam with
+    lam_k = s_k + k, a zero-padded partition, as s strictly decreases and
+    s_l >= -l.  Both tests read only the hat multisets, so they carry over
+    to (alpha, lam), on which the greedy takes the columns in just this
+    order; ``SignedSelection.from_columns`` on the original columns gives
+    the permuted sign.  The partition test only picks the label:
+    PROVABLY_NONZERO, certified by the greedy selection, or
+    NONZERO_TERM_EXISTS, by the matching.  The residual pairs go to
+    ``ndet_laplace`` under ``oracle_cap`` (None: no cap); above the cap
+    their cancellation stays undecided.
     """
     alpha, beta = validate_pair(alpha, beta)
     ahat, bhat = hat(alpha), hat(beta)
@@ -221,25 +221,22 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     if len(set(bhat)) < len(bhat):
         # equal columns (a repeated bhat): swapping them negates every term
         return Classification(Outcome.ZERO_AFTER_CANCELLATION)
-    # condition (1) of the no-cancellation class is the test just passed
-    if is_zero_padded_partition(beta) and _no_repeated_zero_row(ahat, bhat):
-        sign, word, selection = greedy_h0_term(matrix)
-        return Classification(
-            Outcome.PROVABLY_NONZERO,
-            certificate=selection.column_of_row,
-            witness=HExpansion({word: sign}),
-        )
     witness = note = None
-    try:
-        witness = ndet_laplace(matrix, cap=oracle_cap)
-    except DimensionCapError:
-        note = "cancellation undecided: dimension exceeds the exact-expansion cap"
+    if _no_repeated_zero_row(ahat, bhat):
+        sign, word, selection = greedy_h0_term(matrix)
+        witness = HExpansion({word: sign})
+        if is_zero_padded_partition(beta):
+            return Classification(
+                Outcome.PROVABLY_NONZERO, selection.column_of_row, witness
+            )
     else:
-        if witness.is_zero():
-            return Classification(Outcome.ZERO_AFTER_CANCELLATION)
+        try:
+            witness = ndet_laplace(matrix, cap=oracle_cap)
+        except DimensionCapError:
+            note = "cancellation undecided: dimension exceeds the exact-expansion cap"
+        else:
+            if witness.is_zero():
+                return Classification(Outcome.ZERO_AFTER_CANCELLATION)
     return Classification(
-        Outcome.NONZERO_TERM_EXISTS,
-        certificate=find_matching_certificate(matrix),
-        witness=witness,
-        note=note,
+        Outcome.NONZERO_TERM_EXISTS, find_matching_certificate(matrix), witness, note
     )

@@ -64,6 +64,8 @@ class Poly(TermMap):
         return self._terms.keys()
 
     def _require_same_vars(self, other: "Poly") -> None:
+        if not isinstance(other, Poly):
+            raise TypeError(f"cannot combine a Poly with {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError(f"variable counts differ: {self.nvars} vs {other.nvars}")
 

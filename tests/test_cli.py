@@ -272,6 +272,22 @@ def test_census_rows_are_what_the_general_encoders_write(partitions_only, timing
     assert list(json_counts.items()) == list(csv_counts.items()) == expected
 
 
+@pytest.mark.parametrize("partitions_only", (False, True))
+def test_census_reaches_no_exact_expansion(partitions_only, monkeypatch):
+    # equal weights: a passing pair has sorted(ahat) == sorted(bhat), so
+    # distinct bhat leaves no repeated row and the greedy term decides it
+    expected = list(census_records(9, 4, partitions_only, False))
+    classes = {rec[2] for rec in expected}
+    assert Outcome.PROVABLY_NONZERO.value in classes
+    assert (Outcome.NONZERO_TERM_EXISTS.value in classes) != partitions_only
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the census reached the exact expansion")
+
+    monkeypatch.setattr(predicates, "ndet_laplace", fail)
+    assert list(census_records(9, 4, partitions_only, False)) == expected
+
+
 def test_enumerate_timings_change_only_micros(capsys, tmp_path):
     plain = census_rows(capsys, tmp_path, "--n", "7", "--len", "3")
     timed = census_rows(capsys, tmp_path, "--n", "7", "--len", "3", "--timings")

@@ -28,6 +28,7 @@ ENTRY_POINTS = {
     "Poly nvars": lambda x: Poly(x, {(2,): 3}),
     "Poly exponents": lambda x: Poly(2, {(x, 0): 3}),
     "Poly coefficient": lambda x: Poly(2, {(1, 0): x}),
+    "Poly scale": lambda x: Poly(2, {(1, 0): 3}) * x,
     "schur outer": lambda x: schur_via_tableaux((2, x), (), 2),
     "schur inner": lambda x: schur_via_tableaux((2, 1), (x,), 2),
     "schur nvars": lambda x: schur_via_tableaux((2, 1), (), x),

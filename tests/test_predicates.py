@@ -4,11 +4,15 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from immaculates.compositions import enumerate_compositions, hat
+from immaculates.compositions import (
+    enumerate_compositions,
+    hat,
+    is_zero_padded_partition,
+)
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import HExpansion
 from immaculates.matrix import build_matrix
-from immaculates.ndet import ndet_permutation_sum, skew_immaculate
+from immaculates.ndet import SignedSelection, ndet_permutation_sum, skew_immaculate
 from immaculates.predicates import (
     Classification,
     Outcome,
@@ -28,6 +32,7 @@ from support import (
     greedy_by_recount,
     no_repeated_zero_row_scan,
     random_composition,
+    suite2_exhaustive_pairs,
     surviving_term_exists,
     unhat,
 )
@@ -182,14 +187,38 @@ def _greedy_outcome(greedy, matrix):
     return sign, word, selection.column_of_row
 
 
+def _recount_on_column_sorted_twin(matrix):
+    """``greedy_by_recount`` on the columns sorted by falling bhat, mapped back.
+
+    The sort is stable, so equal bhat keep their left-to-right order; the
+    twin's skew is the unhat of the sorted bhat, and the sign is that of
+    the selection on the original columns.
+    """
+    bhat = hat(matrix.beta)
+    order = sorted(range(matrix.dim), key=lambda j: -bhat[j])
+    twin = build_matrix(matrix.alpha, unhat(bhat[j] for j in order))
+    sign, word, selection = greedy_by_recount(twin)
+    back = SignedSelection.from_columns(
+        order[c - 1] + 1 for c in selection.column_of_row
+    )
+    return back.sign, word, back
+
+
 @given(equal_length_pairs())
 def test_greedy_matches_recount_oracle(pair):
     alpha, beta = pair
     for skew in (beta, tuple(sorted(beta, reverse=True))):
         matrix = build_matrix(alpha, skew)
         assert _greedy_outcome(greedy_h0_term, matrix) == _greedy_outcome(
-            greedy_by_recount, matrix
+            _recount_on_column_sorted_twin, matrix
         )
+
+
+@given(equal_length_pairs())
+def test_greedy_raises_exactly_when_the_counting_test_fails(pair):
+    alpha, beta = pair
+    outcome = _greedy_outcome(greedy_h0_term, build_matrix(alpha, beta))
+    assert (outcome is None) == (not necessary_condition_holds(alpha, beta))
 
 
 def test_classify_worked_examples():
@@ -205,16 +234,23 @@ def test_classify_worked_examples():
 
 
 def test_classify_nonzero_term_branch_for_non_partition_skew():
-    # necessary condition holds, skew is not a partition, expansion nonzero
-    result = classify((6, 4, 3), (2, 4, 1))
-    assert result.outcome is Outcome.NONZERO_TERM_EXISTS
-    assert result.certificate is not None
-    assert result.witness == HExpansion({(4, 2): 1, (3, 1, 2): -1})
+    # bhat (1, 2, -2) is distinct and no two rows are equal, so the greedy
+    # term on the columns sorted by falling bhat decides the pair; the
+    # expansion is +H[4,2] -H[3,1,2], and the certificate is the matching
+    for cap in (2, None):
+        result = classify((6, 4, 3), (2, 4, 1), oracle_cap=cap)
+        assert result == Classification(
+            Outcome.NONZERO_TERM_EXISTS, (1, 2, 3), HExpansion({(4, 2): 1})
+        )
+    assert skew_immaculate((6, 4, 3), (2, 4, 1)).coefficient((4, 2)) == 1
 
 
 def test_classify_above_cap_leaves_cancellation_undecided():
-    result = classify((6, 4, 3), (2, 4, 1), oracle_cap=2)
+    # ahat (0, -1, 0) repeats 0, which lies in bhat (-1, 0, -3): two equal
+    # rows hold a zero, so only the exact expansion decides the pair
+    result = classify((1, 1, 3), (0, 2, 0), oracle_cap=2)
     assert result.outcome is Outcome.NONZERO_TERM_EXISTS
+    assert result.certificate == (1, 3, 2)
     assert result.witness is None
     assert "undecided" in result.note
 
@@ -222,9 +258,10 @@ def test_classify_above_cap_leaves_cancellation_undecided():
 def test_classify_without_cap_expands_exactly():
     # oracle_cap=None means no cap, as in ndet_laplace: the 3x3 matrix is
     # expanded and its cancellation decided
-    result = classify((6, 4, 3), (2, 4, 1), oracle_cap=None)
+    result = classify((1, 1, 3), (0, 2, 0), oracle_cap=None)
     assert result.outcome is Outcome.NONZERO_TERM_EXISTS
-    assert result.witness == skew_immaculate((6, 4, 3), (2, 4, 1))
+    assert result.witness == HExpansion({(1, 2): -1, (2, 1): 1})
+    assert result.witness == skew_immaculate((1, 1, 3), (0, 2, 0))
     assert result.note is None
 
 
@@ -262,6 +299,49 @@ def test_repeated_bhat_expands_to_zero_and_classifies_as_zero(pair):
             Outcome.ZERO_AFTER_CANCELLATION,
         ), (pair, caps)
         assert result.certificate is None and result.witness is None
+
+
+def _check_distinct_bhat_pair(alpha, beta):
+    # A passing pair with distinct bhat.  Unless two equal rows hold a
+    # zero, the hats decide it, with no exact expansion (cap 1): one greedy
+    # term whose exact coefficient is its sign.  Otherwise the exact
+    # expansion decides it and is the witness.
+    ahat, bhat = hat(alpha), hat(beta)
+    matrix = build_matrix(alpha, beta)
+    exact = ndet_permutation_sum(matrix)
+    if not _no_repeated_zero_row(ahat, bhat):
+        result = classify(alpha, beta)
+        assert (result.outcome is Outcome.ZERO_AFTER_CANCELLATION) == exact.is_zero()
+        assert result.witness == (None if exact.is_zero() else exact), (alpha, beta)
+        return
+    result = classify(alpha, beta, oracle_cap=1)
+    sign, word, selection = greedy_h0_term(matrix)
+    assert result.witness == HExpansion({word: sign}) and result.note is None
+    assert exact.coefficient(word) == sign, (alpha, beta)
+    if is_zero_padded_partition(beta):
+        assert result.outcome is Outcome.PROVABLY_NONZERO, (alpha, beta)
+        assert result.certificate == selection.column_of_row
+    else:
+        assert result.outcome is Outcome.NONZERO_TERM_EXISTS, (alpha, beta)
+        assert result.certificate == find_matching_certificate(matrix)
+
+
+@given(equal_length_pairs())
+def test_distinct_bhat_pairs_are_decided_by_the_greedy_term(pair):
+    alpha, beta = pair
+    bhat = hat(beta)
+    assume(len(set(bhat)) == len(bhat) and necessary_condition_holds(alpha, beta))
+    _check_distinct_bhat_pair(alpha, beta)
+
+
+def test_distinct_bhat_pairs_are_decided_by_the_greedy_term_exhaustively():
+    checked = 0
+    for alpha, beta in suite2_exhaustive_pairs():
+        bhat = hat(beta)
+        if len(set(bhat)) == len(bhat) and necessary_condition_holds(alpha, beta):
+            _check_distinct_bhat_pair(alpha, beta)
+            checked += 1
+    assert checked > 1000
 
 
 def test_classify_provably_nonzero_implies_term_exists():

@@ -72,6 +72,16 @@ def test_poly_arithmetic_and_render():
     assert (3 * p * p - q).render() == "+3·x1^2 -1·x2"
 
 
+def test_poly_with_a_non_poly_operand_raises_type_error():
+    p = poly_from(2, {(1, 0): 3})
+    # p * 2.5 is the "Poly scale" entry of test_exact_input.py
+    for combine in (lambda: 2.5 * p, lambda: p + 1, lambda: p - 1):
+        with pytest.raises(TypeError, match="cannot combine a Poly with"):
+            combine()
+    with pytest.raises(ValueError, match="variable counts differ"):
+        p + Poly(3)
+
+
 @st.composite
 def wide_poly_terms(draw):
     """(nvars, {exponents: coeff}) in 1..4 variables, exponents up to 11."""
