@@ -25,7 +25,6 @@ from .ndet import (
     SignedSelection,
     immaculate,
     ndet_laplace,
-    ndet_permutation_sum,
     permutation_sign,
     skew_immaculate,
 )

@@ -1,16 +1,18 @@
 """Pair validation and the associated subscript matrix.
 
 The matrix attached to a pair (alpha, beta) of equal-length sequences has
-(i, j) entry (alpha_i - i) - (beta_j - j); its signs decide everything
-about the pair's expansion, so entries are stored as plain integers and
-the generator wrapper only exists at the algebra layer.  Indices are
-0-based internally and 1-based in every public rendering.
+(i, j) entry ahat_i - bhat_j, where ahat and bhat are the staircase shifts
+alpha_i - i and beta_j - j.  Every rule that decides the pair reads only
+the hats, so a matrix holds the pair and its hats and forms its l×l table
+of plain integers on first read.  Indices are 0-based internally and
+1-based in every public rendering.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .compositions import hat
 from .errors import LengthMismatchError
@@ -18,15 +20,21 @@ from .errors import LengthMismatchError
 
 @dataclass(frozen=True)
 class SubscriptMatrix:
-    """Square matrix of generator subscripts together with its source pair."""
+    """Square matrix of generator subscripts: its source pair and their hats."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
+    ahat: tuple[int, ...]
+    bhat: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.ahat)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The table ``entries[i][j] == ahat[i] - bhat[j]``, formed on first read."""
+        return tuple(tuple(a - b for b in self.bhat) for a in self.ahat)
 
     def render(self) -> str:
         """Debug form: one row per line, space-separated subscripts."""
@@ -53,8 +61,6 @@ def validate_pair(alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def build_matrix(alpha, beta) -> SubscriptMatrix:
-    """Associated matrix of the pair, validated by :func:`validate_pair`."""
+    """Associated matrix of the pair, validated by :func:`validate_pair`; O(l)."""
     alpha, beta = validate_pair(alpha, beta)
-    ahat, bhat = hat(alpha), hat(beta)
-    entries = tuple(tuple(a - b for b in bhat) for a in ahat)
-    return SubscriptMatrix(alpha, beta, entries)
+    return SubscriptMatrix(alpha, beta, hat(alpha), hat(beta))

@@ -1,18 +1,17 @@
-"""Noncommutative determinants of subscript matrices, two independent ways.
+"""Noncommutative determinants of subscript matrices.
 
 Each determinant term selects one entry per row in a distinct column;
 factors multiply in row order (top row first) and the term's sign is
-the parity of the chosen column permutation.  ``ndet_permutation_sum``
-is the plain reference over all l! selections; ``ndet_laplace`` is the
+the parity of the chosen column permutation.  ``ndet_laplace`` is the
 layered Laplace expansion, bottom row first, with negative-pivot pruning;
 its engine also expands the Jacobi-Trudi determinant in ``symfunc``, and
 its inner loop is the shared term-map product ``hwords.add_product``.
-The two are independent implementations and mutual test oracles.
+The plain sum over all l! selections, its independent test oracle, lives
+with the other oracles in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import NamedTuple
 
@@ -54,33 +53,6 @@ def _check_cap(dim: int, cap) -> None:
         raise DimensionCapError(
             f"matrix dimension {dim} exceeds the exact-expansion cap {cap}"
         )
-
-
-def ndet_permutation_sum(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
-    """Reference determinant: signed sum over all l! column selections."""
-    _check_cap(m.dim, cap)
-    entries = m.entries
-    l = m.dim
-    acc: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(l)):
-        raw = []
-        dead = False
-        for i in range(l):
-            e = entries[i][perm[i]]
-            if e < 0:
-                dead = True
-                break
-            if e:
-                raw.append(e)
-        if dead:
-            continue
-        word = tuple(raw)
-        total = acc.get(word, 0) + permutation_sign(perm)
-        if total:
-            acc[word] = total
-        else:
-            del acc[word]
-    return HExpansion(acc)
 
 
 def _layered_laplace(cells, unit, mul) -> dict:

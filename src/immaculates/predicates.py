@@ -24,11 +24,11 @@ the two hat sequences:
   and swapping the two columns pairs each surviving term with one of the
   same word and the opposite sign.  A partition skew never has them.
 
-:func:`classify` therefore builds a matrix only for pairs that pass the
-counting test, and only the residual pairs, with distinct bhat and two
-identical rows holding a zero, reach the exact expansion.  Skewing
-sequences may be weak (trailing zeros) even though the classical
-statements concern positive parts.
+:func:`classify` builds one :class:`SubscriptMatrix` per pair and every
+rule reads its hats; only the residual pairs, with distinct bhat and two
+identical rows holding a zero, form its l×l table, in the exact
+expansion.  Skewing sequences may be weak (trailing zeros) even though
+the classical statements concern positive parts.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .compositions import hat, is_zero_padded_partition
+from .compositions import is_zero_padded_partition
 from .errors import DimensionCapError, GreedyPreconditionError
 from .hwords import HExpansion
-from .matrix import SubscriptMatrix, build_matrix, validate_pair
+from .matrix import SubscriptMatrix, build_matrix
 from .ndet import DEFAULT_DIM_CAP, SignedSelection, ndet_laplace
 
 
@@ -73,11 +73,6 @@ def format_certificate(certificate) -> str:
     return ",".join(f"{i}->{c}" for i, c in enumerate(certificate, start=1))
 
 
-def _hat_pair(alpha, beta):
-    alpha, beta = validate_pair(alpha, beta)
-    return hat(alpha), hat(beta)
-
-
 def _dominates_sorted(sorted_ahat, sorted_bhat) -> bool:
     # row i is nonnegative on the columns with bhat_j <= ahat_i, so the
     # k rows of smallest ahat reach k columns iff the k-th smallest ahat
@@ -104,7 +99,8 @@ def necessary_condition_holds(alpha, beta) -> bool:
     k columns and pigeonhole kills every term; if it holds, Hall's theorem
     gives a matching of nonnegative entries.
     """
-    return _dominates(*_hat_pair(alpha, beta))
+    m = build_matrix(alpha, beta)
+    return _dominates(m.ahat, m.bhat)
 
 
 def find_matching_certificate(m: SubscriptMatrix) -> tuple[int, ...] | None:
@@ -113,12 +109,11 @@ def find_matching_certificate(m: SubscriptMatrix) -> tuple[int, ...] | None:
     Augmenting-path search, deterministic: rows are processed top to
     bottom and columns tried left to right, with a free column always
     preferred before reassignments (so an all-nonnegative matrix yields
-    the identity permutation).  Returns 1-based columns per row.
+    the identity permutation).  Row i is nonnegative on the columns with
+    bhat_j <= ahat_i.  Returns 1-based columns per row.
     """
-    l = m.dim
-    adjacency = [
-        [j for j in range(l) if m.entries[i][j] >= 0] for i in range(l)
-    ]
+    l, bhat = m.dim, m.bhat
+    adjacency = [[j for j in range(l) if bhat[j] <= a] for a in m.ahat]
     row_of_col = [-1] * l
     col_of_row = [-1] * l
 
@@ -156,8 +151,8 @@ def nocancel_conditions_hold(alpha, lam) -> bool:
         raise ValueError(
             f"skewing sequence must be a partition up to trailing zeros: {lam!r}"
         )
-    ahat, bhat = _hat_pair(alpha, lam)
-    return _dominates(ahat, bhat) and _no_repeated_zero_row(ahat, bhat)
+    m = build_matrix(alpha, lam)
+    return _dominates(m.ahat, m.bhat) and _no_repeated_zero_row(m.ahat, m.bhat)
 
 
 def greedy_h0_term(m: SubscriptMatrix):
@@ -168,13 +163,12 @@ def greedy_h0_term(m: SubscriptMatrix):
     its ahat reaches the current column's bhat, and holds a live zero
     when the two are equal.  Each step gives the current column to such
     a row, one with a zero if any, else the topmost.  Returns (sign,
-    word, selection), read from the hats alone.  Raises
+    word, selection), read from ``m.ahat`` and ``m.bhat`` alone.  Raises
     GreedyPreconditionError exactly when the counting test fails: a row
     that clears a threshold clears every later one, so no pick blocks a
     later column.
     """
-    ahat, bhat = hat(m.alpha), hat(m.beta)
-    l = m.dim
+    ahat, bhat, l = m.ahat, m.bhat, m.dim
     remaining = list(range(l))
     column_of_row = [0] * l
     raw = [0] * l
@@ -196,28 +190,28 @@ def greedy_h0_term(m: SubscriptMatrix):
 def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     """Aggregate the tests, refining with the exact expansion when cheap.
 
-    Failure of the counting test proves every term vanishes (no matrix is
-    built); two equal columns make the expansion exactly zero.  With
-    distinct bhat and no two identical rows holding a zero, the greedy
-    term survives all cancellation: for a partition skew by the
-    no-cancellation theorem, and otherwise by reduction to one.  Permuting
-    the columns multiplies every term by the permutation's sign.  Sorting
-    the distinct bhat falling, s_1 > ... > s_l, gives the hats of lam with
-    lam_k = s_k + k, a zero-padded partition, as s strictly decreases and
-    s_l >= -l.  Both tests read only the hat multisets, so they carry over
-    to (alpha, lam), on which the greedy takes the columns in just this
-    order; ``SignedSelection.from_columns`` on the original columns gives
-    the permuted sign.  The partition test only picks the label:
+    The one matrix built per call holds the hats that every test reads.
+    Failure of the counting test proves every term vanishes; two equal
+    columns make the expansion exactly zero.  With distinct bhat and no two
+    identical rows holding a zero, the greedy term survives all
+    cancellation: for a partition skew by the no-cancellation theorem, and
+    otherwise by reduction to one.  Permuting the columns multiplies every
+    term by the permutation's sign.  Sorting the distinct bhat falling,
+    s_1 > ... > s_l, gives the hats of lam with lam_k = s_k + k, a
+    zero-padded partition, as s strictly decreases and s_l >= -l.  Both
+    tests read only the hat multisets, so they carry over to (alpha, lam),
+    on which the greedy takes the columns in just this order;
+    ``SignedSelection.from_columns`` on the original columns gives the
+    permuted sign.  The partition test only picks the label:
     PROVABLY_NONZERO, certified by the greedy selection, or
     NONZERO_TERM_EXISTS, by the matching.  The residual pairs go to
     ``ndet_laplace`` under ``oracle_cap`` (None: no cap); above the cap
     their cancellation stays undecided.
     """
-    alpha, beta = validate_pair(alpha, beta)
-    ahat, bhat = hat(alpha), hat(beta)
+    matrix = build_matrix(alpha, beta)
+    ahat, bhat = matrix.ahat, matrix.bhat
     if not _dominates(ahat, bhat):
         return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
-    matrix = build_matrix(alpha, beta)
     if len(set(bhat)) < len(bhat):
         # equal columns (a repeated bhat): swapping them negates every term
         return Classification(Outcome.ZERO_AFTER_CANCELLATION)
@@ -225,7 +219,7 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     if _no_repeated_zero_row(ahat, bhat):
         sign, word, selection = greedy_h0_term(matrix)
         witness = HExpansion({word: sign})
-        if is_zero_padded_partition(beta):
+        if is_zero_padded_partition(matrix.beta):
             return Classification(
                 Outcome.PROVABLY_NONZERO, selection.column_of_row, witness
             )

@@ -1,8 +1,10 @@
 """Shared generators and independent brute-force oracles for the suite.
 
 The oracles here deliberately avoid the code paths they check and
-import no private name of the package: term survival is a raw
-permutation scan, the counting test has a literal all-subsets form over
+import no private name of the package: the determinant is the plain
+signed sum over all l! column selections, term survival is a raw
+permutation scan, the matching certificate is searched over the matrix's
+entries table, the counting test has a literal all-subsets form over
 matrix row counts, the repeated-row condition scans matrix rows instead
 of hat values, a polynomial is checked by evaluating it at integer
 points, a term merge is summed in a ``Counter``, a Schur polynomial
@@ -29,6 +31,8 @@ from collections import Counter
 from hypothesis import strategies as st
 
 from immaculates import (
+    DEFAULT_DIM_CAP,
+    HExpansion,
     Outcome,
     classify,
     enumerate_compositions,
@@ -36,9 +40,14 @@ from immaculates import (
     format_parts,
     is_partition,
     nocancel_conditions_hold,
+    permutation_sign,
     skew_immaculate,
 )
-from immaculates.errors import GreedyPreconditionError, LengthMismatchError
+from immaculates.errors import (
+    DimensionCapError,
+    GreedyPreconditionError,
+    LengthMismatchError,
+)
 from immaculates.hwords import normalize_word
 from immaculates.matrix import SubscriptMatrix
 from immaculates.ndet import SignedSelection
@@ -119,6 +128,72 @@ def surviving_term_exists(matrix) -> bool:
         all(matrix.entries[i][perm[i]] >= 0 for i in range(l))
         for perm in itertools.permutations(range(l))
     )
+
+
+def ndet_permutation_sum(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
+    """Reference determinant: signed sum over all l! column selections."""
+    if cap is not None and m.dim > cap:
+        raise DimensionCapError(
+            f"matrix dimension {m.dim} exceeds the exact-expansion cap {cap}"
+        )
+    entries = m.entries
+    l = m.dim
+    acc: dict[tuple[int, ...], int] = {}
+    for perm in itertools.permutations(range(l)):
+        raw = []
+        dead = False
+        for i in range(l):
+            e = entries[i][perm[i]]
+            if e < 0:
+                dead = True
+                break
+            if e:
+                raw.append(e)
+        if dead:
+            continue
+        word = tuple(raw)
+        total = acc.get(word, 0) + permutation_sign(perm)
+        if total:
+            acc[word] = total
+        else:
+            del acc[word]
+    return HExpansion(acc)
+
+
+def matching_by_entries(m: SubscriptMatrix) -> tuple[int, ...] | None:
+    """Oracle for ``find_matching_certificate``: the same search over ``m.entries``.
+
+    Augmenting-path search, deterministic: rows are processed top to
+    bottom and columns tried left to right, with a free column always
+    preferred before reassignments (so an all-nonnegative matrix yields
+    the identity permutation).  Returns 1-based columns per row.
+    """
+    l = m.dim
+    adjacency = [
+        [j for j in range(l) if m.entries[i][j] >= 0] for i in range(l)
+    ]
+    row_of_col = [-1] * l
+    col_of_row = [-1] * l
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in adjacency[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if row_of_col[j] == -1 or augment(row_of_col[j], seen):
+                row_of_col[j] = i
+                col_of_row[i] = j
+                return True
+        return False
+
+    for i in range(l):
+        free = next((j for j in adjacency[i] if row_of_col[j] == -1), None)
+        if free is not None:
+            row_of_col[free] = i
+            col_of_row[i] = free
+        elif not augment(i, set()):
+            return None
+    return tuple(c + 1 for c in col_of_row)
 
 
 def no_repeated_zero_row_scan(matrix) -> bool:

@@ -15,7 +15,6 @@ from immaculates.matrix import build_matrix
 from immaculates.ndet import (
     SignedSelection,
     ndet_laplace,
-    ndet_permutation_sum,
     skew_immaculate,
 )
 from immaculates.predicates import (
@@ -32,6 +31,7 @@ from immaculates.ndet import immaculate
 from support import (
     check_partition_row_monotonicity,
     has_negative_crossing_violation,
+    ndet_permutation_sum,
     partitions_up_to_weight,
     sign_pattern,
     structural_random_pairs,

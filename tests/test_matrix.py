@@ -1,12 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
 
+from immaculates.compositions import hat
 from immaculates.errors import LengthMismatchError
 from immaculates.matrix import build_matrix
 
 from support import (
     check_partition_row_monotonicity,
+    equal_length_pairs,
     has_negative_crossing_violation,
     sign_pattern,
     structural_random_pairs,
@@ -42,8 +45,13 @@ def test_build_matrix_validation():
         build_matrix((1, 2), (1, -1))
 
 
-def test_entry_formula_and_rank_one_structure():
-    m = build_matrix((4, 1, 6, 5), (2, 1, 3, 2))
+@given(equal_length_pairs())
+@example(((4, 1, 6, 5), (2, 1, 3, 2)))
+def test_entry_formula_and_rank_one_structure(pair):
+    m, twin = build_matrix(*pair), build_matrix(*pair)
+    assert m.ahat == hat(m.alpha) and m.bhat == hat(m.beta)
+    assert m.dim == len(m.alpha)
+    assert m == twin and hash(m) == hash(twin)
     l = m.dim
     for i in range(l):
         for j in range(l):
@@ -53,6 +61,9 @@ def test_entry_formula_and_rank_one_structure():
         for j2 in range(l):
             diffs = {m.entries[i][j1] - m.entries[i][j2] for i in range(l)}
             assert len(diffs) == 1
+    # forming one build's table changes neither its equality nor its hash
+    assert "entries" in vars(m) and "entries" not in vars(twin)
+    assert m == twin and hash(m) == hash(twin)
 
 
 def test_render_rows():

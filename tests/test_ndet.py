@@ -11,7 +11,6 @@ from immaculates.ndet import (
     SignedSelection,
     immaculate,
     ndet_laplace,
-    ndet_permutation_sum,
     permutation_sign,
     skew_immaculate,
 )
@@ -19,6 +18,7 @@ from immaculates.ndet import (
 from support import (
     compositions_up_to_weight,
     equal_length_pairs,
+    ndet_permutation_sum,
     random_composition,
     term_of_selection,
 )

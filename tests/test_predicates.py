@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from immaculates import predicates
 from immaculates.compositions import (
     enumerate_compositions,
     hat,
@@ -12,7 +13,7 @@ from immaculates.compositions import (
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import HExpansion
 from immaculates.matrix import build_matrix
-from immaculates.ndet import SignedSelection, ndet_permutation_sum, skew_immaculate
+from immaculates.ndet import SignedSelection, skew_immaculate
 from immaculates.predicates import (
     Classification,
     Outcome,
@@ -30,6 +31,8 @@ from support import (
     condition1_all_subsets,
     equal_length_pairs,
     greedy_by_recount,
+    matching_by_entries,
+    ndet_permutation_sum,
     no_repeated_zero_row_scan,
     random_composition,
     suite2_exhaustive_pairs,
@@ -92,6 +95,18 @@ def test_matching_certificate_edge_cases():
     assert find_matching_certificate(build_matrix((1, 1), (5, 5))) is None
     # all-nonnegative matrix matches identically
     assert find_matching_certificate(build_matrix((9, 9, 9), (1, 1, 1))) == (1, 2, 3)
+
+
+@given(equal_length_pairs())
+def test_matching_on_hats_equals_matching_on_entries(pair):
+    m = build_matrix(*pair)
+    assert find_matching_certificate(m) == matching_by_entries(m)
+
+
+def test_matching_on_hats_equals_matching_on_entries_exhaustively():
+    for alpha, beta in suite2_exhaustive_pairs():
+        m = build_matrix(alpha, beta)
+        assert find_matching_certificate(m) == matching_by_entries(m)
 
 
 def test_condition_equivalent_to_matching_and_brute_force_small():
@@ -271,6 +286,35 @@ def test_classify_decides_equal_columns_above_cap():
     result = classify((3, 3, 3), (1, 2, 0), oracle_cap=2)
     assert result == Classification(Outcome.ZERO_AFTER_CANCELLATION)
     assert skew_immaculate((3, 3, 3), (1, 2, 0)).is_zero()
+
+
+def test_classify_builds_one_matrix_and_forms_its_table_only_to_expand(monkeypatch):
+    built = []
+
+    def recording_build(alpha, beta):
+        built.append(build_matrix(alpha, beta))
+        return built[-1]
+
+    monkeypatch.setattr(predicates, "build_matrix", recording_build)
+    # decided by the counting test, equal columns, the greedy term on a
+    # partition skew and the greedy term plus the matching on another skew
+    for pair in (
+        ((1, 1), (5, 5)),
+        ((3, 3, 3), (1, 2, 0)),
+        ((10, 7, 9), (9, 8, 5)),
+        ((6, 4, 3), (2, 4, 1)),
+    ):
+        built.clear()
+        classify(*pair)
+        assert len(built) == 1
+        assert "entries" not in vars(built[0])
+    # the residual pair reads the table in the exact expansion; above the
+    # cap, the cap is checked before the read
+    for cap, formed in ((None, True), (3, True), (2, False)):
+        built.clear()
+        classify((1, 1, 3), (0, 2, 0), oracle_cap=cap)
+        assert len(built) == 1
+        assert ("entries" in vars(built[0])) is formed
 
 
 @st.composite
