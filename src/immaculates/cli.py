@@ -17,6 +17,8 @@ import sys
 import time
 
 from .compositions import (
+    _ASCII_WHITESPACE,
+    _PART,
     enumerate_compositions,
     format_parts,
     hat,
@@ -52,10 +54,11 @@ def _env_cap(default: int) -> int:
     raw = os.environ.get("IMMACULATE_DIM_CAP")
     if raw is None:
         return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"IMMACULATE_DIM_CAP must be an integer, got {raw!r}") from None
+    # the ASCII syntax of a composition part: 1_0, +3 or non-ASCII digits are malformed
+    text = raw.strip(_ASCII_WHITESPACE)
+    if not _PART.fullmatch(text):
+        raise ValueError(f"IMMACULATE_DIM_CAP must be an integer, got {raw!r}")
+    cap = int(text)
     if cap < 1:
         raise ValueError(f"IMMACULATE_DIM_CAP must be at least 1, got {cap}")
     return cap

@@ -20,6 +20,9 @@ from collections.abc import Iterable, Mapping
 
 Word = tuple[int, ...]
 
+# Terms formatted per chunk of HExpansion.render; bounds its per-term strings.
+_RENDER_CHUNK = 1024
+
 
 def normalize_word(raw: Iterable[int]) -> Word | None:
     """Drop zero subscripts; return None when any subscript is negative.
@@ -158,9 +161,17 @@ class HExpansion(TermMap):
         by single spaces; the unit word renders ``H[]`` and the zero
         expansion renders ``0``.
         """
+        return " ".join(self._rendered_chunks()) or "0"
+
+    def _rendered_chunks(self):
+        """Yield the rendered terms in order, ``_RENDER_CHUNK`` at a time, space-joined.
+
+        Only one chunk's per-term strings are alive at once, so a large
+        render holds its chunk texts and the result, not one string per term.
+        """
         terms = self._terms
-        rendered = []
         for length, words in self._graded(len, False):
             fmt = "%+d·H[" + ",".join(["%d"] * length) + "]"
-            rendered.extend([fmt % (terms[word], *word) for word in words])
-        return " ".join(rendered) or "0"
+            for start in range(0, len(words), _RENDER_CHUNK):
+                chunk = words[start : start + _RENDER_CHUNK]
+                yield " ".join([fmt % (terms[word], *word) for word in chunk])

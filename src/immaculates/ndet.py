@@ -61,13 +61,16 @@ def _layered_laplace(cells, unit, mul) -> dict:
     ``cells[i][j]`` maps monoid keys to nonzero coefficients, or is None
     for a zero entry; ``mul(u, v)`` multiplies keys, ``u`` from the upper
     row.  Layer k maps each column set (a bitmask) to its nonzero minor on
-    the bottom k rows, expanded along that minor's top row; layer k - 1 is
-    dropped once layer k is complete.  Returns the determinant's term map.
+    the bottom k rows, expanded along that minor's top row.  Each minor of
+    layer k - 1 is popped and released as soon as its cofactors are in
+    layer k, so the two layers are never both whole in memory.  Returns
+    the determinant's term map.
     """
     layer = {0: {unit: 1}}
     for row in reversed(cells):
         nxt: dict[int, dict] = {}
-        for cols, minor in layer.items():
+        while layer:
+            cols, minor = layer.popitem()
             for col, cell in enumerate(row):
                 bit = 1 << col
                 if cell is None or cols & bit:

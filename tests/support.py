@@ -14,8 +14,9 @@ commutative image of an expansion multiplies out every word on its own
 (through that list), a render sorts with a Python key function and
 formats each term with an f-string (monomials through this module's own
 copy of the formatter, so that a rewrite in the package is checked
-against it), and the greedy witness reruns the all-subsets test on every
-live submatrix.  A census record is
+against it) or, for large expansions, formats every term with one ``%``
+string and joins them all at once, and the greedy witness reruns the
+all-subsets test on every live submatrix.  A census record is
 classified pair by pair, with a fresh expansion to count its terms.  The
 structural checks on sign patterns, the per-selection term, ``unhat``,
 monomial polynomials and variable relabelling live here too: only the
@@ -107,6 +108,20 @@ def render_words_by_key_sort(terms) -> str:
         terms, lambda word: (len(word), word), False,
         lambda word: f"·H[{','.join(map(str, word))}]",
     )
+
+
+def render_by_terms(expansion) -> str:
+    """Oracle for ``HExpansion.render``: one ``%`` string per term, all joined at once.
+
+    Holds a string for every term, unlike the package's chunked render,
+    which it checks byte for byte across chunk seams.
+    """
+    terms = dict(expansion.items())
+    rendered = []
+    for length, words in itertools.groupby(sorted(terms, key=lambda w: (len(w), w)), len):
+        fmt = "%+d·H[" + ",".join(["%d"] * length) + "]"
+        rendered.extend([fmt % (terms[word], *word) for word in words])
+    return " ".join(rendered) or "0"
 
 
 def monomial_body(exps) -> str:

@@ -116,6 +116,17 @@ def test_dimension_cap_env_must_be_positive(capsys, monkeypatch):
             assert "IMMACULATE_DIM_CAP must be at least 1" in err
 
 
+def test_dimension_cap_env_takes_only_ascii_digits(capsys, monkeypatch):
+    for raw in ("1_0", "+3", "\u0663", "3\u00a0"):
+        monkeypatch.setenv("IMMACULATE_DIM_CAP", raw)
+        code, out, err = run(capsys, "expand", "6,4,3", "--skew", "2,4,1")
+        assert (code, out) == (EXIT_PARSE, ""), raw
+        assert f"IMMACULATE_DIM_CAP must be an integer, got {raw!r}" in err
+    monkeypatch.setenv("IMMACULATE_DIM_CAP", " 7 ")
+    code, out, _ = run(capsys, "expand", "6,4,3", "--skew", "2,4,1")
+    assert (code, out) == (EXIT_OK, "+1·H[4,2] -1·H[3,1,2]\n")
+
+
 def test_classify_lines(capsys):
     code, out, _ = run(capsys, "classify", "5,7,1,3", "5,5,5,1")
     assert (code, out) == (EXIT_OK, "ALL_ZERO_PRE_CANCELLATION\n")

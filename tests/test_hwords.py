@@ -1,9 +1,19 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from immaculates.hwords import HExpansion, add_terms, normalize_word
+from immaculates.ndet import immaculate
 
-from support import concat, large_coefficients, merge_with_counter, render_words_by_key_sort
+from support import (
+    concat,
+    large_coefficients,
+    merge_with_counter,
+    render_by_terms,
+    render_words_by_key_sort,
+)
 
 subscripts = st.lists(st.integers(min_value=-3, max_value=6), max_size=6)
 
@@ -101,6 +111,36 @@ wide_word_terms = st.dictionaries(
 @example({})
 def test_render_matches_key_sort_oracle(terms):
     assert HExpansion(terms).render() == render_words_by_key_sort(terms)
+
+
+def _seam_expansions():
+    """Expansions far larger than one render chunk, of mixed word lengths."""
+    rng = random.Random(0x5EA3)
+
+    def coefficient():
+        c = rng.choice((1, 2, 97, 10**30, 2**200 + 1))
+        return c if rng.random() < 0.5 else -c
+
+    # every word of length 0..4 over 1..9: 7381 terms, the unit word included
+    short = itertools.chain.from_iterable(
+        itertools.product(range(1, 10), repeat=n) for n in range(5)
+    )
+    yield HExpansion({word: coefficient() for word in short})
+    # one length only, with subscripts of one to three digits
+    yield HExpansion({word: coefficient() for word in itertools.product(range(1, 121), repeat=2)})
+    # the unit word alone, a lone big coefficient, and zero
+    yield HExpansion({(): 1})
+    yield HExpansion({(3, 11): -(2**200)})
+    yield HExpansion()
+
+
+def test_render_matches_per_term_oracle_across_chunk_seams():
+    for expansion in _seam_expansions():
+        assert expansion.render() == render_by_terms(expansion)
+    # 7! = 5040 terms of one length, every one rendered and compared
+    expansion = immaculate((7,) * 7)
+    assert len(expansion) == 5040
+    assert expansion.render() == render_by_terms(expansion)
 
 
 def test_coefficient_lookup():
