@@ -6,6 +6,13 @@ and disappears on normalization; a negative subscript annihilates the
 whole word.  Linear combinations keep exact (arbitrary-precision)
 integer coefficients, so no coefficient can ever overflow or wrap.
 
+A word is a tuple at the API and a ``str`` inside :class:`HExpansion`,
+one code point per subscript: ``(9, 8, 7)`` is stored as
+``chr(9) + chr(8) + chr(7)`` and the unit word as ``""``.  A ``str`` is
+compact, caches its hash and concatenates in C; same-length strings sort
+as their tuples do.  So a subscript is at most ``sys.maxunicode``, and
+larger ones are rejected where a pair or a word comes in.
+
 The exact sparse term map under both algebras lives here too: H-expansions
 and the polynomials of ``symfunc`` are :class:`TermMap` subclasses, and
 its zero-dropping accumulate exists once in :func:`add_terms` and once in
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from collections.abc import Iterable, Mapping
 
 Word = tuple[int, ...]
@@ -122,7 +130,7 @@ class TermMap:
     def _graded(self, grade, reverse: bool):
         """Yield ``(g, keys)`` for each grade ``g`` of the keys, in grade order.
 
-        Each grade's keys come in plain tuple order; ``reverse`` makes both
+        Each grade's keys come in plain key order; ``reverse`` makes both
         orders descending.  ``grade`` is a builtin such as ``len`` or
         ``sum``, so neither sort runs Python code per key.
         """
@@ -131,11 +139,36 @@ class TermMap:
             yield g, sorted(keys, reverse=reverse)
 
 
-def _checked_word(raw: Iterable[int]) -> Word:
+def _check_subscript(largest: int) -> None:
+    """Reject a subscript above ``sys.maxunicode``, the largest one code point holds."""
+    if largest > sys.maxunicode:
+        raise ValueError(
+            f"subscript {largest} is above the limit {sys.maxunicode} (sys.maxunicode)"
+        )
+
+
+def _encoded(word: Word) -> str:
+    """The stored form of a normalized word: one code point per subscript."""
+    return "".join(map(chr, word))
+
+
+def _checked_word(raw: Iterable[int]) -> str:
     word = tuple(map(operator.index, raw))
-    if any(a < 1 for a in word):
-        raise ValueError(f"words must be normalized (positive subscripts): {word!r}")
-    return word
+    if word:
+        if min(word) < 1:
+            raise ValueError(
+                f"words must be normalized (positive subscripts): {word!r}"
+            )
+        _check_subscript(max(word))
+    return _encoded(word)
+
+
+class _Digits(dict):
+    """Translate table: each code point to ``"<subscript>,"``, made on first sight."""
+
+    def __missing__(self, code: int) -> str:
+        text = self[code] = "%d," % code
+        return text
 
 
 class HExpansion(TermMap):
@@ -147,11 +180,21 @@ class HExpansion(TermMap):
         self._terms = self._merged(terms, _checked_word)
 
     @classmethod
-    def _of(cls, terms: dict[Word, int]) -> "HExpansion":
-        """Adopt a term map that already holds only normalized words and nonzero ints."""
+    def _of(cls, terms: dict[str, int]) -> "HExpansion":
+        """Adopt a term map that already holds only encoded words and nonzero ints."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
+
+    def coefficient(self, key: Iterable[int]) -> int:
+        try:
+            word = _encoded(key)
+        except ValueError:  # a subscript no code point holds is in no stored word
+            return 0
+        return self._terms.get(word, 0)
+
+    def items(self):
+        return ((tuple(map(ord, word)), coeff) for word, coeff in self._terms.items())
 
     def render(self) -> str:
         """Canonical text form, the bit-exact format used by the CLI and fixtures.
@@ -168,10 +211,15 @@ class HExpansion(TermMap):
 
         Only one chunk's per-term strings are alive at once, so a large
         render holds its chunk texts and the result, not one string per term.
+        Each word translates to ``a1,a2,...,`` and the chunk drops the
+        comma before every ``]``, so one format string serves every length.
         """
         terms = self._terms
-        for length, words in self._graded(len, False):
-            fmt = "%+d·H[" + ",".join(["%d"] * length) + "]"
+        digits = _Digits()
+        for _, words in self._graded(len, False):
             for start in range(0, len(words), _RENDER_CHUNK):
                 chunk = words[start : start + _RENDER_CHUNK]
-                yield " ".join([fmt % (terms[word], *word) for word in chunk])
+                text = " ".join(
+                    ["%+d·H[%s]" % (terms[w], w.translate(digits)) for w in chunk]
+                )
+                yield text.replace(",]", "]")

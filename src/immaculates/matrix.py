@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .compositions import hat
 from .errors import LengthMismatchError
+from .hwords import _check_subscript
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,17 @@ class SubscriptMatrix:
 
 
 def validate_pair(alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair as integer tuples; rejects unequal lengths and bad parts.
+    """The pair as integer tuples, checked as :func:`build_matrix` checks it."""
+    m = build_matrix(alpha, beta)
+    return m.alpha, m.beta
+
+
+def build_matrix(alpha, beta) -> SubscriptMatrix:
+    """Associated matrix of the pair; rejects unequal lengths and bad parts.  O(l).
 
     ``alpha`` must have positive parts; ``beta`` may be weak (zero parts
-    embed non-skew indices as a skew by a zero sequence).
+    embed non-skew indices as a skew by a zero sequence).  The largest
+    subscript, ``max(ahat) - min(bhat)``, must be at most ``sys.maxunicode``.
     """
     alpha = tuple(map(operator.index, alpha))
     beta = tuple(map(operator.index, beta))
@@ -53,14 +61,10 @@ def validate_pair(alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise LengthMismatchError(
             f"alpha has {len(alpha)} parts but beta has {len(beta)}"
         )
-    if not alpha or any(a < 1 for a in alpha):
+    if not alpha or min(alpha) < 1:
         raise ValueError(f"alpha must be a composition (positive parts): {alpha!r}")
-    if any(b < 0 for b in beta):
+    if min(beta) < 0:
         raise ValueError(f"beta parts must be nonnegative: {beta!r}")
-    return alpha, beta
-
-
-def build_matrix(alpha, beta) -> SubscriptMatrix:
-    """Associated matrix of the pair, validated by :func:`validate_pair`; O(l)."""
-    alpha, beta = validate_pair(alpha, beta)
-    return SubscriptMatrix(alpha, beta, hat(alpha), hat(beta))
+    ahat, bhat = hat(alpha), hat(beta)
+    _check_subscript(max(ahat) - min(bhat))
+    return SubscriptMatrix(alpha, beta, ahat, bhat)

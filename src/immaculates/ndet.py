@@ -16,7 +16,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionCapError
-from .hwords import HExpansion, add_product
+from .hwords import HExpansion, _encoded, add_product
 from .matrix import SubscriptMatrix, build_matrix
 
 # l! terms beyond this exceed desk scale; the CLI can override via env.
@@ -89,9 +89,10 @@ def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
     """
     _check_cap(m.dim, cap)
     cells = [
-        [None if e < 0 else {(e,) if e else (): 1} for e in row] for row in m.entries
+        [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
+        for row in m.entries
     ]
-    return HExpansion._of(_layered_laplace(cells, (), operator.add))
+    return HExpansion._of(_layered_laplace(cells, "", operator.add))
 
 
 def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:

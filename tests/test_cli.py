@@ -2,13 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import immaculates
 from immaculates import Outcome, enumerate_compositions, is_partition, predicates
 from immaculates.cli import (
     CENSUS_FIELDS,
@@ -52,6 +56,34 @@ def test_expand_stdout_is_byte_stable(capsys):
         code, out, _ = run(capsys, "expand", *args)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == expected, args
+
+
+def test_expand_stdout_is_the_same_under_every_hash_seed():
+    # Stored words are strs, whose hashes are salted per process, so a
+    # dict or set order may change from run to run; the output must not.
+    args = ("8,8,8,8,8,8,8,8",)
+    src = str(Path(immaculates.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from immaculates.cli import main; sys.exit(main(sys.argv[1:]))",
+             "expand", *args],
+            env=env, capture_output=True, check=True,
+        ).stdout
+        assert hashlib.sha256(out).hexdigest() == EXPAND_STDOUT_SHA256[args], seed
+
+
+def test_subscripts_up_to_maxunicode(capsys):
+    limit = sys.maxunicode
+    assert run(capsys, "expand", str(limit)) == (EXIT_OK, f"+1·H[{limit}]\n", "")
+    assert run(capsys, "classify", str(limit), "0")[0] == EXIT_OK
+    for argv in (("expand", str(limit + 1)), ("classify", str(limit + 1), "0")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, ""), argv
+        assert f"above the limit {limit}" in err
 
 
 def test_expand_cancelling_pair(capsys):

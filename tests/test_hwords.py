@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -175,3 +176,52 @@ def test_merge_matches_counter(pairs):
     for step in unit_steps:
         add_terms(built, [step])
     assert built == expected
+
+
+LIMIT = sys.maxunicode
+SURROGATE = 0xD800  # 55296, a lone surrogate code point
+
+
+def test_largest_and_surrogate_subscripts_render_and_round_trip():
+    top = HExpansion({(LIMIT, 3): 2})
+    assert top.render() == f"+2·H[{LIMIT},3]"
+    assert dict(top.items()) == {(LIMIT, 3): 2}
+    mid = HExpansion({(SURROGATE,): 1, (SURROGATE, 7): -3})
+    assert mid.render() == f"+1·H[{SURROGATE}] -3·H[{SURROGATE},7]"
+    assert dict(mid.items()) == {(SURROGATE,): 1, (SURROGATE, 7): -3}
+    assert mid == HExpansion(dict(mid.items()))
+
+
+def test_subscript_above_the_limit_is_rejected():
+    with pytest.raises(ValueError, match=f"above the limit {LIMIT}"):
+        HExpansion({(LIMIT + 1,): 1})
+    with pytest.raises(ValueError, match=f"above the limit {LIMIT}"):
+        HExpansion([((2, LIMIT + 1, 1), 1)])
+    e = HExpansion({(LIMIT,): 4})
+    assert e.coefficient((LIMIT + 1,)) == 0
+    assert e.coefficient((LIMIT,)) == 4
+
+
+# Small subscripts, and subscripts near the surrogates and near the limit.
+edge_subscripts = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=SURROGATE - 2, max_value=SURROGATE + 2),
+    st.integers(min_value=LIMIT - 2, max_value=LIMIT),
+)
+edge_words = st.lists(edge_subscripts, max_size=4).map(tuple)
+
+
+@given(
+    st.dictionaries(edge_words, st.integers(min_value=-3, max_value=3), max_size=8),
+    st.lists(edge_words, max_size=4),
+)
+@example({(SURROGATE,): 1, (LIMIT, 1): -2, (): 0}, [(LIMIT + 1,), (0, 1), (-1,)])
+def test_words_round_trip_through_the_stored_form(terms, probes):
+    expected = {word: c for word, c in terms.items() if c}
+    expansion = HExpansion(terms)
+    assert dict(expansion.items()) == expected
+    for word in [*terms, *probes]:
+        assert expansion.coefficient(word) == expected.get(word, 0)
+    twin = HExpansion(list(reversed(terms.items())))
+    assert twin == expansion and hash(twin) == hash(expansion)
+    assert expansion.render() == render_by_terms(expansion)

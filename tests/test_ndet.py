@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -161,7 +162,7 @@ def test_dimension_cap_enforced():
 
 def test_laplace_releases_each_minor_once_used():
     # Holding a whole layer while the next is built peaks near 1.8x the
-    # result on 8^8; releasing each minor after its cofactors keeps ~1.2x.
+    # result on 8^8; releasing each minor after its cofactors keeps ~1.3x.
     tracemalloc.start()
     try:
         result = immaculate((8,) * 8)
@@ -170,3 +171,22 @@ def test_laplace_releases_each_minor_once_used():
         tracemalloc.stop()
     assert len(result) == 40320
     assert peak <= 1.5 * size
+
+
+def test_laplace_words_take_little_memory():
+    # Words stored as tuples traced about 166 bytes per term of 8^8 at
+    # peak; one code point per subscript in a str brings it near 104.
+    tracemalloc.start()
+    try:
+        result = immaculate((8,) * 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 40320
+    assert peak <= 128 * len(result)
+
+
+def test_subscript_above_the_limit_is_rejected():
+    assert immaculate((sys.maxunicode,)).render() == f"+1·H[{sys.maxunicode}]"
+    with pytest.raises(ValueError, match=f"above the limit {sys.maxunicode}"):
+        immaculate((sys.maxunicode + 1,))
