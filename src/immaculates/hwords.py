@@ -28,7 +28,7 @@ from collections.abc import Iterable, Mapping
 
 Word = tuple[int, ...]
 
-# Terms formatted per chunk of HExpansion.render; bounds its per-term strings.
+# Terms formatted per chunk of HExpansion.render; bounds each chunk's text.
 _RENDER_CHUNK = 1024
 
 
@@ -164,7 +164,10 @@ def _checked_word(raw: Iterable[int]) -> str:
 
 
 class _Digits(dict):
-    """Translate table: each code point to ``"<subscript>,"``, made on first sight."""
+    """Translate table: each code point to ``"<subscript>,"``, made on first sight.
+
+    ``render`` sets code point 0, which no word holds, to its term separator.
+    """
 
     def __missing__(self, code: int) -> str:
         text = self[code] = "%d," % code
@@ -189,8 +192,8 @@ class HExpansion(TermMap):
     def coefficient(self, key: Iterable[int]) -> int:
         try:
             word = _encoded(key)
-        except ValueError:  # a subscript no code point holds is in no stored word
-            return 0
+        except (ValueError, OverflowError):
+            return 0  # a subscript no code point holds is in no stored word
         return self._terms.get(word, 0)
 
     def items(self):
@@ -202,24 +205,27 @@ class HExpansion(TermMap):
         Terms are sorted by word length then lexicographically on
         subscripts, each rendered ``{+|-}{|c|}·H[a1,a2,...]`` and joined
         by single spaces; the unit word renders ``H[]`` and the zero
-        expansion renders ``0``.
+        expansion renders ``0``.  The text is built a chunk of same-length
+        terms at a time, with one ``str.translate`` and one ``%`` per chunk.
         """
         return " ".join(self._rendered_chunks()) or "0"
 
     def _rendered_chunks(self):
         """Yield the rendered terms in order, ``_RENDER_CHUNK`` at a time, space-joined.
 
-        Only one chunk's per-term strings are alive at once, so a large
-        render holds its chunk texts and the result, not one string per term.
-        Each word translates to ``a1,a2,...,`` and the chunk drops the
-        comma before every ``]``, so one format string serves every length.
+        A chunk's words all have one length, so they are joined by
+        ``chr(0)``, which no stored word holds.  One ``str.translate``
+        writes each subscript as ``a,`` and each separator as ``] %+d·H[``,
+        one ``%`` fills in every coefficient of the chunk, and the comma
+        before every ``]`` is dropped: no Python code runs per term, and a
+        large render holds its chunk texts and the result, not one string
+        per term.
         """
         terms = self._terms
         digits = _Digits()
+        digits[0] = "] %+d·H["
         for _, words in self._graded(len, False):
             for start in range(0, len(words), _RENDER_CHUNK):
                 chunk = words[start : start + _RENDER_CHUNK]
-                text = " ".join(
-                    ["%+d·H[%s]" % (terms[w], w.translate(digits)) for w in chunk]
-                )
-                yield text.replace(",]", "]")
+                text = "%+d·H[" + "\0".join(chunk).translate(digits) + "]"
+                yield (text % tuple(map(terms.__getitem__, chunk))).replace(",]", "]")

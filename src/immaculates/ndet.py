@@ -2,21 +2,24 @@
 
 Each determinant term selects one entry per row in a distinct column;
 factors multiply in row order (top row first) and the term's sign is
-the parity of the chosen column permutation.  ``ndet_laplace`` is the
-layered Laplace expansion, bottom row first, with negative-pivot pruning;
-its engine also expands the Jacobi-Trudi determinant in ``symfunc``, and
-its inner loop is the shared term-map product ``hwords.add_product``.
+the parity of the chosen column permutation.  One layered engine,
+``_minors``, builds the minors of a block of rows bottom row first;
+``ndet_laplace`` runs it on each half of the rows and joins the halves
+where that forms each word once, and the Jacobi-Trudi determinant in
+``symfunc``, whose products collapse, takes one pass over all rows.
+Every product is the shared term-map ``hwords.add_product``.
 The plain sum over all l! selections, its independent test oracle, lives
 with the other oracles in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import NamedTuple
 
 from .errors import DimensionCapError
-from .hwords import HExpansion, _encoded, add_product
+from .hwords import HExpansion, _check_subscript, _encoded, add_product
 from .matrix import SubscriptMatrix, build_matrix
 
 # l! terms beyond this exceed desk scale; the CLI can override via env.
@@ -55,18 +58,18 @@ def _check_cap(dim: int, cap) -> None:
         )
 
 
-def _layered_laplace(cells, unit, mul) -> dict:
-    """Determinant of a square table over a monoid algebra with int coefficients.
+def _minors(cells, layer, mul) -> dict:
+    """The nonzero minors of ``cells`` stacked on ``layer``, over a monoid algebra.
 
-    ``cells[i][j]`` maps monoid keys to nonzero coefficients, or is None
-    for a zero entry; ``mul(u, v)`` multiplies keys, ``u`` from the upper
-    row.  Layer k maps each column set (a bitmask) to its nonzero minor on
-    the bottom k rows, expanded along that minor's top row.  Each minor of
-    layer k - 1 is popped and released as soon as its cofactors are in
-    layer k, so the two layers are never both whole in memory.  Returns
-    the determinant's term map.
+    ``cells[i][j]`` maps monoid keys to nonzero int coefficients, or is
+    None for a zero entry; ``mul(u, v)`` multiplies keys, ``u`` from the
+    upper row.  ``layer`` maps column sets (bitmasks) to the nonzero minors
+    of the rows below ``cells``, ``{0: {unit: 1}}`` when there are none.
+    Layer k maps each column set to its nonzero minor on the bottom k
+    rows, expanded along that minor's top row.  Each minor of layer k - 1
+    is popped and released as soon as its cofactors are in layer k, so the
+    two layers are never both whole in memory.  Returns the last layer.
     """
-    layer = {0: {unit: 1}}
     for row in reversed(cells):
         nxt: dict[int, dict] = {}
         while layer:
@@ -78,21 +81,54 @@ def _layered_laplace(cells, unit, mul) -> dict:
                 sign = -1 if (cols & (bit - 1)).bit_count() & 1 else 1
                 add_product(nxt.setdefault(cols | bit, {}), cell, minor, mul, sign)
         layer = {cols: minor for cols, minor in nxt.items() if minor}
-    return layer.get((1 << len(cells)) - 1, {})
+    return layer
+
+
+def _layered_laplace(cells, unit, mul) -> dict:
+    """Determinant of a square table of cells, as :func:`_minors` takes them."""
+    return _minors(cells, {0: {unit: 1}}, mul).get((1 << len(cells)) - 1, {})
 
 
 def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
-    """Layered Laplace expansion, bottom row first, with negative-pivot pruning.
+    """Laplace expansion with negative-pivot pruning, split at the middle row.
 
     A negative pivot kills every word through it, so its cofactor is
-    skipped; a zero pivot is the unit.
+    skipped; a zero pivot is the unit.  The minors of the bottom l - h rows
+    (``h = l // 2``) come first.  When each of them is nonzero, so is each
+    top minor's partner: the minors of the top h rows come from a pass of
+    their own, and the determinant is the sum over column sets T of size h
+    of the top minor on T times the bottom minor on the other columns,
+    signed by the inversions between T and the rest, ``sum(T) - h(h-1)/2``
+    for 0-based columns.  Each word of the result is then formed once,
+    where a layered pass over all rows forms about e·l!.  Otherwise some
+    top minors would meet only zero, and on sparse matrices building them
+    costs more than the join saves, so the layered pass goes on up through
+    the top rows, pruned by the bottom's zero minors.
     """
     _check_cap(m.dim, cap)
-    cells = [
-        [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
-        for row in m.entries
-    ]
-    return HExpansion._of(_layered_laplace(cells, "", operator.add))
+    try:
+        cells = [
+            [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
+            for row in m.entries
+        ]
+    except (ValueError, OverflowError):  # a subscript no code point holds
+        _check_subscript(max(m.ahat) - min(m.bhat))
+        raise
+    h = m.dim // 2
+    full = (1 << m.dim) - 1
+    bottom = _minors(cells[h:], {0: {"": 1}}, operator.add)
+    if len(bottom) < math.comb(m.dim, h):
+        return HExpansion._of(_minors(cells[:h], bottom, operator.add).get(full, {}))
+    top = _minors(cells[:h], {0: {"": 1}}, operator.add)
+    # sum(T) is odd iff T holds an odd number of odd columns
+    odd = sum(1 << j for j in range(1, m.dim, 2))
+    shift = h * (h - 1) // 2
+    acc: dict[str, int] = {}
+    while top:
+        cols, upper = top.popitem()
+        sign = -1 if ((cols & odd).bit_count() + shift) & 1 else 1
+        add_product(acc, upper, bottom.pop(full ^ cols), operator.add, sign)
+    return HExpansion._of(acc)
 
 
 def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:

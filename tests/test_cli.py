@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -48,6 +49,9 @@ EXPAND_STDOUT_SHA256 = {
     # word lengths 2 to 5, coefficients +-2, and H[6,7] before H[10,3]
     ("7,4,2,7,2", "--skew", "3,2,2,1,1"):
         "22fe18e6e4ace8f3b9d3553b6185ee8a1bdae9f15e8ee58f0d003a56ba68a8ec",
+    # dimension 7, seven zero pivots; 144 surviving selections cancel to 96 terms
+    ("1,4,4,3,6,6,6", "--skew", "1,3,2,6,1,3,0"):
+        "be34620976ad6ab4e7a0371e298754effbf517a4b4911248e4640f45429d67c5",
 }
 
 
@@ -61,10 +65,11 @@ def test_expand_stdout_is_byte_stable(capsys):
 def test_expand_stdout_is_the_same_under_every_hash_seed():
     # Stored words are strs, whose hashes are salted per process, so a
     # dict or set order may change from run to run; the output must not.
-    args = ("8,8,8,8,8,8,8,8",)
     src = str(Path(immaculates.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    for seed in ("0", "1"):
+    for args, seed in itertools.product(
+        [("8,8,8,8,8,8,8,8",), ("1,4,4,3,6,6,6", "--skew", "1,3,2,6,1,3,0")], ("0", "1")
+    ):
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8",
                "PYTHONPATH": path}
         out = subprocess.run(
@@ -73,7 +78,7 @@ def test_expand_stdout_is_the_same_under_every_hash_seed():
              "expand", *args],
             env=env, capture_output=True, check=True,
         ).stdout
-        assert hashlib.sha256(out).hexdigest() == EXPAND_STDOUT_SHA256[args], seed
+        assert hashlib.sha256(out).hexdigest() == EXPAND_STDOUT_SHA256[args], (args, seed)
 
 
 def test_subscripts_up_to_maxunicode(capsys):

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from immaculates.hwords import HExpansion, add_terms, normalize_word
+from immaculates.hwords import _RENDER_CHUNK, HExpansion, add_terms, normalize_word
 from immaculates.ndet import immaculate
 
 from support import (
@@ -144,10 +144,29 @@ def test_render_matches_per_term_oracle_across_chunk_seams():
     assert expansion.render() == render_by_terms(expansion)
 
 
+def test_render_seam_keeps_unit_word_big_and_negative_coefficients():
+    # '%', ',' and ']' are code points 37, 44 and 93: each must render as a subscript
+    words = sorted(itertools.product((1, 37, 44, 93, 1000), repeat=5))
+    for count in (_RENDER_CHUNK - 1, _RENDER_CHUNK, _RENDER_CHUNK + 1, 2 * _RENDER_CHUNK + 3):
+        # signs alternate in render order, so both sides of every seam differ
+        terms = {word: (-1) ** i * (2**64 + i) for i, word in enumerate(words[:count])}
+        terms[()] = -(2**65)
+        expansion = HExpansion(terms)
+        text = expansion.render()
+        assert text == render_by_terms(expansion)
+        big = 2**64
+        assert text.startswith(f"-{2 * big}·H[] +{big}·H[1,1,1,1,1] -{big + 1}·H[1,1,1,1,37] ")
+        last = ",".join(map(str, words[count - 1]))
+        assert text.endswith(f"{(-1) ** (count - 1) * (big + count - 1):+d}·H[{last}]")
+
+
 def test_coefficient_lookup():
     e = HExpansion({(4, 2): 1, (3, 1, 2): -1})
     assert e.coefficient((4, 2)) == 1
     assert e.coefficient((9,)) == 0
+    # no stored word holds a negative subscript or one above the limit
+    for key in ((-1,), (sys.maxunicode + 1,), (2**70,), (4, 2**70)):
+        assert e.coefficient(key) == 0, key
     assert not e.is_zero()
     assert len(e) == 2
 

@@ -1,4 +1,7 @@
+import collections
 import itertools
+import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -6,9 +9,10 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
+from immaculates import ndet
 from immaculates.errors import DimensionCapError
-from immaculates.hwords import HExpansion
-from immaculates.matrix import build_matrix
+from immaculates.hwords import HExpansion, _encoded
+from immaculates.matrix import SubscriptMatrix, build_matrix
 from immaculates.ndet import (
     SignedSelection,
     immaculate,
@@ -16,6 +20,7 @@ from immaculates.ndet import (
     permutation_sign,
     skew_immaculate,
 )
+from immaculates.predicates import necessary_condition_holds
 
 from support import (
     compositions_up_to_weight,
@@ -161,8 +166,8 @@ def test_dimension_cap_enforced():
 
 
 def test_laplace_releases_each_minor_once_used():
-    # Holding a whole layer while the next is built peaks near 1.8x the
-    # result on 8^8; releasing each minor after its cofactors keeps ~1.3x.
+    # Split in halves, 8^8 keeps only their small minors beside the result
+    # (~1.005x); the release itself is guarded on the layered pass below.
     tracemalloc.start()
     try:
         result = immaculate((8,) * 8)
@@ -170,6 +175,23 @@ def test_laplace_releases_each_minor_once_used():
     finally:
         tracemalloc.stop()
     assert len(result) == 40320
+    assert peak <= 1.15 * size
+
+
+def test_layered_pass_releases_each_minor_once_used():
+    # The one pass over all rows, which Jacobi-Trudi and matrices with a
+    # zero bottom minor take: holding a whole layer while the next is built
+    # peaks near 1.9x the result on 8^8; releasing each minor after its
+    # cofactors keeps ~1.3x.
+    m = build_matrix((8,) * 8, (0,) * 8)
+    cells = [[{_encoded((e,)): 1} for e in row] for row in m.entries]
+    tracemalloc.start()
+    try:
+        det = ndet._layered_laplace(cells, "", operator.add)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(det) == 40320
     assert peak <= 1.5 * size
 
 
@@ -190,3 +212,82 @@ def test_subscript_above_the_limit_is_rejected():
     assert immaculate((sys.maxunicode,)).render() == f"+1·H[{sys.maxunicode}]"
     with pytest.raises(ValueError, match=f"above the limit {sys.maxunicode}"):
         immaculate((sys.maxunicode + 1,))
+
+
+def test_hand_built_matrix_above_the_limit_gets_the_limit_message():
+    m = SubscriptMatrix((1114113,), (0,), (1114112,), (-1,))
+    message = f"subscript 1114113 is above the limit {sys.maxunicode}"
+    with pytest.raises(ValueError, match=message):
+        ndet_laplace(m)
+
+
+def test_laplace_forms_each_word_about_once(monkeypatch):
+    # A layered pass over all rows of 8^8 makes 109,600 products, 2.72 * 8!;
+    # the two half passes and their combination make 44,480, 1.10 * 8!.
+    calls = 0
+    add_product = ndet.add_product
+
+    def counting_add_product(acc, left, right, mul, scale):
+        def counted_mul(u, v):
+            nonlocal calls
+            calls += 1
+            return mul(u, v)
+
+        return add_product(acc, left, right, counted_mul, scale)
+
+    monkeypatch.setattr(ndet, "add_product", counting_add_product)
+    result = immaculate((8,) * 8)
+    assert len(result) == math.factorial(8)
+    assert calls <= 1.2 * math.factorial(8)
+
+
+def _split_test_pairs():
+    """Pairs of length 1 and 4-6 with small parts, and with every hat in 0..l-1.
+
+    The compositions give repeated bhat, zero pivots and negative entries
+    below the diagonal; the hat pairs, ahat weakly increasing and bhat
+    distinct, put the negative entries in the top rows.
+    """
+    yield from itertools.product(((1,), (2,), (3,)), ((0,), (1,), (2,), (4,)))
+    for length in (4, 5, 6):
+        alphas = list(compositions_up_to_weight(length + 2, length))
+        zeros = (0,) * (length - 1)
+        yield from itertools.product(alphas, alphas + [(0, *zeros), (1, *zeros), (*zeros, 2)])
+        rows = range(length)
+        bhats = [(*rows,), (*reversed(rows),), (1, 0, *rows[2:]), (*rows[:-2], *rows[:-3:-1])]
+        for ahat in itertools.combinations_with_replacement(rows, length):
+            alpha = [a + i for i, a in enumerate(ahat, 1)]
+            yield from ((alpha, [b + j for j, b in enumerate(bhat, 1)]) for bhat in bhats)
+
+
+def _halves_joined(m):
+    """Whether ``ndet_laplace`` joins two half passes: no bottom minor is zero."""
+    h = m.dim // 2
+    return all(
+        not ndet_permutation_sum(SubscriptMatrix((), (), m.ahat[h:], bhat)).is_zero()
+        for bhat in itertools.combinations(m.bhat, m.dim - h)
+    )
+
+
+def test_half_split_sign_matches_permutation_sum():
+    # Where the halves are not joined, the layered pass goes on through the
+    # top rows; both paths must see every kind of pair.
+    seen = collections.Counter()
+    for alpha, beta in _split_test_pairs():
+        m = build_matrix(alpha, beta)
+        expected = ndet_permutation_sum(m)
+        assert ndet_laplace(m) == expected, (alpha, beta)
+        path = ("split" if _halves_joined(m) else "layered", m.dim)
+        entries = [e for row in m.entries for e in row]
+        seen[path, "any"] += 1
+        # the counting test decides whether some term survives the pruning
+        survives = necessary_condition_holds(alpha, beta)
+        seen[path, "cancelling"] += expected.is_zero() and survives
+        seen[path, "zero pivot"] += 0 in entries
+        seen[path, "negative"] += min(entries) < 0
+        seen[path, "repeated bhat"] += len(set(m.bhat)) < m.dim
+    for dim in (4, 5, 6):
+        for case in ("any", "cancelling", "zero pivot", "negative"):
+            assert seen[("split", dim), case] and seen[("layered", dim), case], (dim, case)
+        assert seen[("layered", dim), "repeated bhat"], dim
+    assert seen[("split", 1), "any"] and seen[("layered", 1), "any"]
