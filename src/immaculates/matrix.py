@@ -21,12 +21,19 @@ from .hwords import _check_subscript
 
 @dataclass(frozen=True)
 class SubscriptMatrix:
-    """Square matrix of generator subscripts: its source pair and their hats."""
+    """Square matrix of generator subscripts: its source pair and their hats.
+
+    Making one rejects a largest subscript, ``max(ahat) - min(bhat)``,
+    above ``sys.maxunicode``.
+    """
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     ahat: tuple[int, ...]
     bhat: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_subscript(max(self.ahat, default=0) - min(self.bhat, default=0))
 
     @property
     def dim(self) -> int:
@@ -42,18 +49,11 @@ class SubscriptMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
-def validate_pair(alpha, beta) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pair as integer tuples, checked as :func:`build_matrix` checks it."""
-    m = build_matrix(alpha, beta)
-    return m.alpha, m.beta
-
-
 def build_matrix(alpha, beta) -> SubscriptMatrix:
     """Associated matrix of the pair; rejects unequal lengths and bad parts.  O(l).
 
     ``alpha`` must have positive parts; ``beta`` may be weak (zero parts
-    embed non-skew indices as a skew by a zero sequence).  The largest
-    subscript, ``max(ahat) - min(bhat)``, must be at most ``sys.maxunicode``.
+    embed non-skew indices as a skew by a zero sequence).
     """
     alpha = tuple(map(operator.index, alpha))
     beta = tuple(map(operator.index, beta))
@@ -65,6 +65,4 @@ def build_matrix(alpha, beta) -> SubscriptMatrix:
         raise ValueError(f"alpha must be a composition (positive parts): {alpha!r}")
     if min(beta) < 0:
         raise ValueError(f"beta parts must be nonnegative: {beta!r}")
-    ahat, bhat = hat(alpha), hat(beta)
-    _check_subscript(max(ahat) - min(bhat))
-    return SubscriptMatrix(alpha, beta, ahat, bhat)
+    return SubscriptMatrix(alpha, beta, hat(alpha), hat(beta))

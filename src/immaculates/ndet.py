@@ -3,10 +3,10 @@
 Each determinant term selects one entry per row in a distinct column;
 factors multiply in row order (top row first) and the term's sign is
 the parity of the chosen column permutation.  One layered engine,
-``_minors``, builds the minors of a block of rows bottom row first;
-``ndet_laplace`` runs it on each half of the rows and joins the halves
-where that forms each word once, and the Jacobi-Trudi determinant in
-``symfunc``, whose products collapse, takes one pass over all rows.
+``_minors``, builds the minors of a block of rows bottom row first; one
+determinant, ``_determinant``, runs it on each half of the rows and joins
+the halves where that forms each word once, for ``ndet_laplace`` over
+H-words and for the Jacobi-Trudi determinant in ``symfunc``.
 Every product is the shared term-map ``hwords.add_product``.
 The plain sum over all l! selections, its independent test oracle, lives
 with the other oracles in the test suite.
@@ -19,7 +19,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DimensionCapError
-from .hwords import HExpansion, _check_subscript, _encoded, add_product
+from .hwords import HExpansion, _encoded, add_product
 from .matrix import SubscriptMatrix, build_matrix
 
 # l! terms beyond this exceed desk scale; the CLI can override via env.
@@ -84,51 +84,51 @@ def _minors(cells, layer, mul) -> dict:
     return layer
 
 
-def _layered_laplace(cells, unit, mul) -> dict:
-    """Determinant of a square table of cells, as :func:`_minors` takes them."""
-    return _minors(cells, {0: {unit: 1}}, mul).get((1 << len(cells)) - 1, {})
+def _determinant(cells, unit, mul) -> dict:
+    """Determinant of a square table of cells, as :func:`_minors` takes them.
+
+    The minors of the bottom l - h rows (``h = l // 2``) come first.  When
+    each of them is nonzero, so is each top minor's partner: the minors of
+    the top h rows come from a pass of their own, and the determinant is
+    the sum over column sets T of size h of the top minor on T times the
+    bottom minor on the other columns, signed by the inversions between T
+    and the rest, ``sum(T) - h(h-1)/2`` for 0-based columns.  Each H-word of
+    a result is then formed once, where a layered pass over all rows forms
+    about e·l!.  Otherwise some top minors would meet only zero, and
+    on sparse matrices building them costs more than the join saves, so
+    the layered pass goes on up through the top rows, pruned by the
+    bottom's zero minors.
+    """
+    l = len(cells)
+    h = l // 2
+    full = (1 << l) - 1
+    bottom = _minors(cells[h:], {0: {unit: 1}}, mul)
+    if len(bottom) < math.comb(l, h):
+        return _minors(cells[:h], bottom, mul).get(full, {})
+    top = _minors(cells[:h], {0: {unit: 1}}, mul)
+    # sum(T) is odd iff T holds an odd number of odd columns
+    odd = sum(1 << j for j in range(1, l, 2))
+    shift = h * (h - 1) // 2
+    acc: dict = {}
+    while top:
+        cols, upper = top.popitem()
+        sign = -1 if ((cols & odd).bit_count() + shift) & 1 else 1
+        add_product(acc, upper, bottom.pop(full ^ cols), mul, sign)
+    return acc
 
 
 def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
     """Laplace expansion with negative-pivot pruning, split at the middle row.
 
     A negative pivot kills every word through it, so its cofactor is
-    skipped; a zero pivot is the unit.  The minors of the bottom l - h rows
-    (``h = l // 2``) come first.  When each of them is nonzero, so is each
-    top minor's partner: the minors of the top h rows come from a pass of
-    their own, and the determinant is the sum over column sets T of size h
-    of the top minor on T times the bottom minor on the other columns,
-    signed by the inversions between T and the rest, ``sum(T) - h(h-1)/2``
-    for 0-based columns.  Each word of the result is then formed once,
-    where a layered pass over all rows forms about e·l!.  Otherwise some
-    top minors would meet only zero, and on sparse matrices building them
-    costs more than the join saves, so the layered pass goes on up through
-    the top rows, pruned by the bottom's zero minors.
+    skipped; a zero pivot is the unit.  The split is :func:`_determinant`'s.
     """
     _check_cap(m.dim, cap)
-    try:
-        cells = [
-            [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
-            for row in m.entries
-        ]
-    except (ValueError, OverflowError):  # a subscript no code point holds
-        _check_subscript(max(m.ahat) - min(m.bhat))
-        raise
-    h = m.dim // 2
-    full = (1 << m.dim) - 1
-    bottom = _minors(cells[h:], {0: {"": 1}}, operator.add)
-    if len(bottom) < math.comb(m.dim, h):
-        return HExpansion._of(_minors(cells[:h], bottom, operator.add).get(full, {}))
-    top = _minors(cells[:h], {0: {"": 1}}, operator.add)
-    # sum(T) is odd iff T holds an odd number of odd columns
-    odd = sum(1 << j for j in range(1, m.dim, 2))
-    shift = h * (h - 1) // 2
-    acc: dict[str, int] = {}
-    while top:
-        cols, upper = top.popitem()
-        sign = -1 if ((cols & odd).bit_count() + shift) & 1 else 1
-        add_product(acc, upper, bottom.pop(full ^ cols), operator.add, sign)
-    return HExpansion._of(acc)
+    cells = [
+        [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
+        for row in m.entries
+    ]
+    return HExpansion._of(_determinant(cells, "", operator.add))
 
 
 def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:

@@ -21,7 +21,7 @@ import operator
 
 from .compositions import is_partition, is_zero_padded_partition, strip_trailing_zeros
 from .hwords import HExpansion, TermMap, add_product, add_terms
-from .ndet import _layered_laplace
+from .ndet import _determinant
 
 
 def _add_exponents(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
@@ -238,8 +238,8 @@ def schur_via_jacobi_trudi(outer, inner, n: int) -> Poly:
     Entry (i, j) is the complete homogeneous polynomial of degree
     (outer_i - i) - (inner_j - j) (1-based indices); negative degrees are
     the zero polynomial, which prunes the expansion.  The determinant is
-    the layered Laplace expansion of ``ndet``, bottom row first, on packed
-    keys; the empty shape gives the 0 x 0 determinant 1.  No digit carries:
+    ``ndet``'s, split at the middle row, on packed keys; the empty shape
+    gives the 0 x 0 determinant 1.  No digit carries:
     a minor's term takes one entry per row, and no row's largest degree is
     negative (row i ends in degree outer_i - inner_l + l - i), so the sum
     of the rows' largest degrees bounds the term's degree and exponents.
@@ -251,7 +251,7 @@ def schur_via_jacobi_trudi(outer, inner, n: int) -> Poly:
     width = sum(map(max, degrees)).bit_length()
     h = _packed_h_tables(max(map(max, degrees), default=0), n, width)
     cells = [[h[d] if d >= 0 else None for d in row] for row in degrees]
-    return Poly._of(n, _unpacked(_layered_laplace(cells, 0, operator.add), n, width))
+    return Poly._of(n, _unpacked(_determinant(cells, 0, operator.add), n, width))
 
 
 def forgetful(expansion: HExpansion, n: int) -> Poly:

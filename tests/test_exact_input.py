@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from immaculates.hwords import HExpansion, normalize_word
-from immaculates.matrix import validate_pair
+from immaculates.matrix import build_matrix
 from immaculates.ndet import SignedSelection, immaculate, skew_immaculate
 from immaculates.symfunc import (
     Poly,
@@ -20,8 +20,8 @@ ENTRY_POINTS = {
     "normalize_word": lambda x: normalize_word((2, x)),
     "HExpansion coefficient": lambda x: HExpansion({(1,): x}),
     "HExpansion word": lambda x: HExpansion({(x, 2): 1}),
-    "validate_pair alpha": lambda x: validate_pair((x, 2), (0, 0)),
-    "validate_pair beta": lambda x: validate_pair((2, 2), (x, 0)),
+    "build_matrix alpha": lambda x: build_matrix((x, 2), (0, 0)),
+    "build_matrix beta": lambda x: build_matrix((2, 2), (x, 0)),
     "skew_immaculate": lambda x: skew_immaculate((2, x), (0, 0)),
     "SignedSelection.from_columns": lambda x: SignedSelection.from_columns((x, 2)),
     "immaculate": lambda x: immaculate((x, 2)),

@@ -6,7 +6,7 @@ from hypothesis import example, given
 
 from immaculates.compositions import hat
 from immaculates.errors import LengthMismatchError
-from immaculates.matrix import build_matrix, validate_pair
+from immaculates.matrix import build_matrix
 
 from support import (
     check_partition_row_monotonicity,
@@ -49,11 +49,12 @@ def test_build_matrix_validation():
 def test_largest_subscript_is_at_most_maxunicode():
     # the largest subscript of ((a, 1), (0, 0)) is (a - 1) - (0 - 2) = a + 1
     limit = sys.maxunicode
-    assert validate_pair((limit - 1, 1), (0, 0)) == ((limit - 1, 1), (0, 0))
-    assert max(map(max, build_matrix((limit - 1, 1), (0, 0)).entries)) == limit
+    m = build_matrix((limit - 1, 1), (0, 0))
+    assert (m.alpha, m.beta) == ((limit - 1, 1), (0, 0))
+    assert max(map(max, m.entries)) == limit
     for alpha in ((limit, 1), (limit + 1,)):
         with pytest.raises(ValueError, match=f"above the limit {limit}"):
-            validate_pair(alpha, (0,) * len(alpha))
+            build_matrix(alpha, (0,) * len(alpha))
 
 
 @given(equal_length_pairs())

@@ -179,15 +179,16 @@ def test_laplace_releases_each_minor_once_used():
 
 
 def test_layered_pass_releases_each_minor_once_used():
-    # The one pass over all rows, which Jacobi-Trudi and matrices with a
-    # zero bottom minor take: holding a whole layer while the next is built
-    # peaks near 1.9x the result on 8^8; releasing each minor after its
-    # cofactors keeps ~1.3x.
+    # The layered pass, which goes on up through the top rows when a bottom
+    # minor is zero (most Jacobi-Trudi shapes, sparse matrices), here over
+    # all rows: holding a whole layer while the next is built peaks near
+    # 1.9x the result on 8^8; releasing each minor after its cofactors
+    # keeps ~1.3x.
     m = build_matrix((8,) * 8, (0,) * 8)
     cells = [[{_encoded((e,)): 1} for e in row] for row in m.entries]
     tracemalloc.start()
     try:
-        det = ndet._layered_laplace(cells, "", operator.add)
+        det = ndet._minors(cells, {0: {"": 1}}, operator.add)[(1 << 8) - 1]
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -215,10 +216,10 @@ def test_subscript_above_the_limit_is_rejected():
 
 
 def test_hand_built_matrix_above_the_limit_gets_the_limit_message():
-    m = SubscriptMatrix((1114113,), (0,), (1114112,), (-1,))
     message = f"subscript 1114113 is above the limit {sys.maxunicode}"
     with pytest.raises(ValueError, match=message):
-        ndet_laplace(m)
+        SubscriptMatrix((1114113,), (0,), (1114112,), (-1,))
+    assert SubscriptMatrix((), (), (), ()).dim == 0
 
 
 def test_laplace_forms_each_word_about_once(monkeypatch):

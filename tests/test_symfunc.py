@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from immaculates.hwords import HExpansion
-from immaculates.ndet import immaculate
+from immaculates.ndet import immaculate, permutation_sign
 from immaculates.symfunc import (
     Poly,
     forgetful,
@@ -276,6 +276,42 @@ def test_schur_via_jacobi_trudi_matches_enumeration(shape, n):
     outer, inner = shape
     expected = schur_by_enumeration(outer, inner, n)
     assert schur_via_jacobi_trudi(outer, inner, n) == expected
+
+
+def _jacobi_trudi_halves_joined(outer, inner, n):
+    """Whether the Jacobi-Trudi determinant joins two half passes: no bottom minor is zero."""
+    l = len(outer)
+    inner = tuple(inner) + (0,) * (l - len(inner))
+    h = l // 2
+    rows = range(h, l)
+    for cols in itertools.combinations(range(l), l - h):
+        minor = Poly(n)
+        for perm in itertools.permutations(cols):
+            term = Poly(n, {(0,) * n: permutation_sign(perm)})
+            for i, j in zip(rows, perm):
+                term = term * h_poly(outer[i] - i - (inner[j] - j), n)
+            minor = minor + term
+        if minor.is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "outer, inner, n, terms, joined",
+    [
+        ((2, 2, 2, 2), (), 4, 1, True),
+        ((2, 2, 2, 2), (), 5, 15, True),
+        ((3, 3, 3, 3), (), 5, 35, True),
+        ((2, 2, 2, 2, 2), (), 5, 1, True),
+        ((2, 2, 2, 2), (1, 1), 4, 6, False),
+    ],
+)
+def test_jacobi_trudi_at_four_and_five_rows(outer, inner, n, terms, joined):
+    # The small-shape sweeps join the halves only up to 3 rows.
+    got = schur_via_jacobi_trudi(outer, inner, n)
+    assert got == schur_by_enumeration(outer, inner, n)
+    assert len(got) == terms
+    assert _jacobi_trudi_halves_joined(outer, inner, n) == joined
 
 
 def test_tableaux_equal_determinant_on_sample():
