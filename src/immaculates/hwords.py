@@ -30,6 +30,8 @@ Word = tuple[int, ...]
 
 # Terms formatted per chunk of HExpansion.render; bounds each chunk's text.
 _RENDER_CHUNK = 1024
+# UTF-32 in the native byte order, which memoryview.cast("I") reads.
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 
 def normalize_word(raw: Iterable[int]) -> Word | None:
@@ -163,14 +165,14 @@ def _checked_word(raw: Iterable[int]) -> str:
     return _encoded(word)
 
 
-class _Digits(dict):
-    """Translate table: each code point to ``"<subscript>,"``, made on first sight.
+class _Texts(dict):
+    """Lookup table of ``fmt % key``, each text made on first lookup."""
 
-    ``render`` sets code point 0, which no word holds, to its term separator.
-    """
+    def __init__(self, fmt: str):
+        self.fmt = fmt
 
-    def __missing__(self, code: int) -> str:
-        text = self[code] = "%d," % code
+    def __missing__(self, key: int) -> str:
+        text = self[key] = self.fmt % key
         return text
 
 
@@ -206,26 +208,36 @@ class HExpansion(TermMap):
         subscripts, each rendered ``{+|-}{|c|}·H[a1,a2,...]`` and joined
         by single spaces; the unit word renders ``H[]`` and the zero
         expansion renders ``0``.  The text is built a chunk of same-length
-        terms at a time, with one ``str.translate`` and one ``%`` per chunk.
+        terms at a time, column by column, with no Python code per term.
         """
         return " ".join(self._rendered_chunks()) or "0"
 
     def _rendered_chunks(self):
         """Yield the rendered terms in order, ``_RENDER_CHUNK`` at a time, space-joined.
 
-        A chunk's words all have one length, so they are joined by
-        ``chr(0)``, which no stored word holds.  One ``str.translate``
-        writes each subscript as ``a,`` and each separator as ``] %+d·H[``,
-        one ``%`` fills in every coefficient of the chunk, and the comma
-        before every ``]`` is dropped: no Python code runs per term, and a
-        large render holds its chunk texts and the result, not one string
-        per term.
+        A chunk's words all have one length ``L``, so its text is a list of
+        ``L + 1`` parts per term, filled a column at a time by slice
+        assignment from tables made on first lookup: coefficients as
+        ``%+d·H[`` (a table per chunk), then subscripts as ``a,`` or, last,
+        ``a] ``, read as code points through one UTF-32 view of the chunk.
+        No Python code runs per term, and a render holds its chunk texts
+        and the result, not a text per term.
         """
         terms = self._terms
-        digits = _Digits()
-        digits[0] = "] %+d·H["
-        for _, words in self._graded(len, False):
+        inner, last = _Texts("%d,"), _Texts("%d] ")
+        for length, words in self._graded(len, False):
+            if not length:
+                yield "%+d·H[]" % terms[""]
+                continue
+            step = length + 1
             for start in range(0, len(words), _RENDER_CHUNK):
                 chunk = words[start : start + _RENDER_CHUNK]
-                text = "%+d·H[" + "\0".join(chunk).translate(digits) + "]"
-                yield (text % tuple(map(terms.__getitem__, chunk))).replace(",]", "]")
+                codes = memoryview("".join(chunk).encode(_UTF32, "surrogatepass")).cast("I")
+                heads, parts = _Texts("%+d·H["), [None] * (len(chunk) * step)
+                parts[::step] = map(heads.__getitem__, map(terms.__getitem__, chunk))
+                for k in range(length - 1):
+                    parts[k + 1 :: step] = map(inner.__getitem__, codes[k::length])
+                parts[length::step] = map(last.__getitem__, codes[length - 1 :: length])
+                codes.release()  # frees the code units before the join allocates
+                parts[-1] = parts[-1][:-1]  # render puts the space between chunks
+                yield "".join(parts)

@@ -1,11 +1,12 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from immaculates.hwords import _RENDER_CHUNK, HExpansion, add_terms, normalize_word
+from immaculates.hwords import _RENDER_CHUNK, _UTF32, HExpansion, add_terms, normalize_word
 from immaculates.ndet import immaculate
 
 from support import (
@@ -209,6 +210,39 @@ def test_largest_and_surrogate_subscripts_render_and_round_trip():
     assert mid.render() == f"+1·H[{SURROGATE}] -3·H[{SURROGATE},7]"
     assert dict(mid.items()) == {(SURROGATE,): 1, (SURROGATE, 7): -3}
     assert mid == HExpansion(dict(mid.items()))
+
+
+def test_one_letter_words_render_across_chunk_seams():
+    # one column per term: only the last-subscript texts are used
+    for count in (_RENDER_CHUNK - 1, _RENDER_CHUNK, _RENDER_CHUNK + 1, 2 * _RENDER_CHUNK + 3):
+        subscripts = [*range(1, count - 2), SURROGATE, SURROGATE + 1, LIMIT]
+        terms = {(a,): (-1) ** i * (2**64 + i) for i, a in enumerate(subscripts)}
+        expansion = HExpansion(terms)
+        text = expansion.render()
+        assert text == render_by_terms(expansion)
+        assert text.startswith(f"+{2**64}·H[1] -{2**64 + 1}·H[2] ")
+        assert text.endswith(f"{(-1) ** (count - 1) * (2**64 + count - 1):+d}·H[{LIMIT}]")
+
+
+def test_words_are_read_as_native_code_points():
+    s = "".join(map(chr, (1, SURROGATE, 0xDFFF, LIMIT, 7)))
+    codes = memoryview(s.encode(_UTF32, "surrogatepass")).cast("I")
+    assert codes.tolist() == list(map(ord, s))
+
+
+def test_render_holds_about_twice_its_text():
+    # distinct big coefficients: a table of their texts kept for the whole
+    # render would hold about five times the text
+    words = itertools.islice(itertools.product(range(1, 12), repeat=5), 20_000)
+    expansion = HExpansion({word: 2**64 + i for i, word in enumerate(words)})
+    tracemalloc.start()
+    try:
+        text = expansion.render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == render_by_terms(expansion)
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 def test_subscript_above_the_limit_is_rejected():
