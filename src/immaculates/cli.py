@@ -29,7 +29,7 @@ from .compositions import (
 from .errors import LengthMismatchError
 from .matrix import build_matrix
 from .ndet import DEFAULT_DIM_CAP, ndet_laplace
-from .predicates import Outcome, _dominates_sorted, classify, format_certificate
+from .predicates import Outcome, _class_outcome, classify, format_certificate
 from .symfunc import schur_via_jacobi_trudi, schur_via_tableaux
 
 EXIT_OK = 0
@@ -93,28 +93,42 @@ def _cmd_classify(args) -> int:
 def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     """One record per pair of weight-n length-`length` sequences, lex order.
 
-    Each composition is formatted, hatted and sorted once.  A pair that
-    fails the counting test on the sorted hats is recorded as
-    ALL_ZERO_PRE_CANCELLATION at once; every other pair goes through
-    :func:`classify`.  Both sequences have weight n, so a passing pair has
-    sorted(ahat) == sorted(bhat): a repeated bhat is ZERO_AFTER_CANCELLATION,
-    and distinct bhat means no row repeats, so the greedy witness decides
-    every other pair and no row reaches the exact expansion.  ``terms`` is
-    the length of the witness, 0 or 1, as is that of the expansion.
+    Each composition is formatted and hatted once and keyed by its class:
+    its sorted hats, numbered on the alpha side and, among the skewing
+    sequences, on the beta side.  The rules that read only the sorted hats
+    (the counting test and equal columns) run once per pair of classes,
+    into one verdict table: under the weight cap at most 410 classes a
+    side (n=14, len=9).  A row reads its verdict from the table, and only the
+    rows that it leaves open go through :func:`classify`.  Both sequences
+    have weight n, so an open pair has sorted(ahat) == sorted(bhat) with
+    distinct entries: no row repeats, the greedy witness decides the pair
+    and no row reaches the exact expansion.  ``terms`` is the length of
+    the witness, 0 or 1, as is that of the expansion; a row that its
+    classes decide has none.
 
     Each record is a tuple in CENSUS_FIELDS order: ``(alpha, beta, class,
     certificate or None, terms, micros)``.
     """
-    compositions = [
-        (c, format_parts(c), sorted(hat(c))) for c in enumerate_compositions(n, length)
+    alpha_classes: dict[tuple[int, ...], int] = {}
+    beta_classes: dict[tuple[int, ...], int] = {}
+    alphas, betas = [], []
+    for c in enumerate_compositions(n, length):
+        key, text = tuple(sorted(hat(c))), format_parts(c)
+        alphas.append((c, text, alpha_classes.setdefault(key, len(alpha_classes))))
+        if not partitions_only or is_partition(c):
+            betas.append((c, text, beta_classes.setdefault(key, len(beta_classes))))
+    # verdicts[aclass][bclass]: the class's Outcome value, or None when open
+    verdicts = [
+        [v and v.value for v in (_class_outcome(a, b) for b in beta_classes)]
+        for a in alpha_classes
     ]
-    betas = [row for row in compositions if not partitions_only or is_partition(row[0])]
-    all_zero = Outcome.ALL_ZERO_PRE_CANCELLATION.value
     clock = time.perf_counter_ns
-    for alpha, alpha_text, ahat_sorted in compositions:
-        for beta, beta_text, bhat_sorted in betas:
+    for alpha, alpha_text, aclass in alphas:
+        row_verdicts = verdicts[aclass]
+        for beta, beta_text, bclass in betas:
             started = clock() if timings else 0
-            if _dominates_sorted(ahat_sorted, bhat_sorted):
+            outcome = row_verdicts[bclass]
+            if outcome is None:
                 result = classify(alpha, beta)
                 outcome = result.outcome.value
                 certificate = (
@@ -124,7 +138,7 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
                 )
                 terms = len(result.witness) if result.witness is not None else 0
             else:
-                outcome, certificate, terms = all_zero, None, 0
+                certificate, terms = None, 0
             micros = (clock() - started) // 1000 if timings else 0
             yield alpha_text, beta_text, outcome, certificate, terms, micros
 

@@ -84,6 +84,18 @@ def _dominates(ahat, bhat) -> bool:
     return _dominates_sorted(sorted(ahat), sorted(bhat))
 
 
+def _class_outcome(sorted_ahat, sorted_bhat) -> Outcome | None:
+    # the rules that read only the sorted hats: the counting test, then
+    # equal columns (a repeated bhat, adjacent once sorted); None leaves
+    # the pair to the rules that read the hats in order
+    if not _dominates_sorted(sorted_ahat, sorted_bhat):
+        return Outcome.ALL_ZERO_PRE_CANCELLATION
+    if any(map(operator.eq, sorted_bhat, sorted_bhat[1:])):
+        # swapping two equal columns negates every term
+        return Outcome.ZERO_AFTER_CANCELLATION
+    return None
+
+
 def _no_repeated_zero_row(ahat, bhat) -> bool:
     # a repeated ahat value is a repeated row; it holds a zero iff in bhat
     return set(bhat).isdisjoint(a for a, n in Counter(ahat).items() if n > 1)
@@ -191,8 +203,10 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     """Aggregate the tests, refining with the exact expansion when cheap.
 
     The one matrix built per call holds the hats that every test reads.
-    Failure of the counting test proves every term vanishes; two equal
-    columns make the expansion exactly zero.  With distinct bhat and no two
+    The first two rules read only the sorted hats, so the census runs them
+    once per pair of hat classes (``_class_outcome``): failure of the
+    counting test proves every term vanishes, and two equal columns make
+    the expansion exactly zero.  With distinct bhat and no two
     identical rows holding a zero, the greedy term survives all
     cancellation: for a partition skew by the no-cancellation theorem, and
     otherwise by reduction to one.  Permuting the columns multiplies every
@@ -210,11 +224,9 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     """
     matrix = build_matrix(alpha, beta)
     ahat, bhat = matrix.ahat, matrix.bhat
-    if not _dominates(ahat, bhat):
-        return Classification(Outcome.ALL_ZERO_PRE_CANCELLATION)
-    if len(set(bhat)) < len(bhat):
-        # equal columns (a repeated bhat): swapping them negates every term
-        return Classification(Outcome.ZERO_AFTER_CANCELLATION)
+    outcome = _class_outcome(sorted(ahat), sorted(bhat))
+    if outcome is not None:
+        return Classification(outcome)
     witness = note = None
     if _no_repeated_zero_row(ahat, bhat):
         sign, word, selection = greedy_h0_term(matrix)

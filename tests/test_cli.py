@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import immaculates
-from immaculates import Outcome, enumerate_compositions, is_partition, predicates
+from immaculates import Outcome, cli, enumerate_compositions, is_partition, predicates
 from immaculates.cli import (
     CENSUS_FIELDS,
     EXIT_IO,
@@ -334,6 +334,27 @@ def test_census_reaches_no_exact_expansion(partitions_only, monkeypatch):
 
     monkeypatch.setattr(predicates, "ndet_laplace", fail)
     assert list(census_records(9, 4, partitions_only, False)) == expected
+
+
+@pytest.mark.parametrize("partitions_only", (False, True))
+def test_census_classifies_only_the_rows_its_classes_leave_open(partitions_only, monkeypatch):
+    # the counting test and equal columns are decided once per pair of
+    # sorted-hat classes; only the nonzero rows reach classify
+    expected = list(census_records(9, 4, partitions_only, False))
+    calls = []
+
+    def counting_classify(*args, **kwargs):
+        calls.append(args)
+        return predicates.classify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    assert list(census_records(9, 4, partitions_only, False)) == expected
+    classes = Counter(rec[2] for rec in expected)
+    assert classes[Outcome.ALL_ZERO_PRE_CANCELLATION.value]
+    assert classes[Outcome.ZERO_AFTER_CANCELLATION.value] != partitions_only
+    assert len(calls) == (
+        classes[Outcome.NONZERO_TERM_EXISTS.value] + classes[Outcome.PROVABLY_NONZERO.value]
+    )
 
 
 def test_enumerate_timings_change_only_micros(capsys, tmp_path):

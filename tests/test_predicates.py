@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -9,6 +10,7 @@ from immaculates.compositions import (
     enumerate_compositions,
     hat,
     is_zero_padded_partition,
+    pad_to_length,
 )
 from immaculates.errors import GreedyPreconditionError, LengthMismatchError
 from immaculates.hwords import HExpansion
@@ -17,6 +19,7 @@ from immaculates.ndet import SignedSelection, skew_immaculate
 from immaculates.predicates import (
     Classification,
     Outcome,
+    _class_outcome,
     _dominates,
     _no_repeated_zero_row,
     classify,
@@ -317,6 +320,9 @@ def test_classify_builds_one_matrix_and_forms_its_table_only_to_expand(monkeypat
         assert ("entries" in vars(built[0])) is formed
 
 
+ZERO_OUTCOMES = (Outcome.ALL_ZERO_PRE_CANCELLATION, Outcome.ZERO_AFTER_CANCELLATION)
+
+
 @st.composite
 def repeated_bhat_pairs(draw):
     """Equal-length pairs whose bhat repeats a value at two positions."""
@@ -338,10 +344,7 @@ def test_repeated_bhat_expands_to_zero_and_classifies_as_zero(pair):
     assert ndet_permutation_sum(build_matrix(alpha, beta)).is_zero()
     for caps in ({"oracle_cap": 1}, {"oracle_cap": None}, {}):
         result = classify(alpha, beta, **caps)
-        assert result.outcome in (
-            Outcome.ALL_ZERO_PRE_CANCELLATION,
-            Outcome.ZERO_AFTER_CANCELLATION,
-        ), (pair, caps)
+        assert result.outcome in ZERO_OUTCOMES, (pair, caps)
         assert result.certificate is None and result.witness is None
 
 
@@ -386,6 +389,38 @@ def test_distinct_bhat_pairs_are_decided_by_the_greedy_term_exhaustively():
             _check_distinct_bhat_pair(alpha, beta)
             checked += 1
     assert checked > 1000
+
+
+def test_class_outcome_agrees_with_classify_on_every_small_pair():
+    # compositions of weights 4 to 7 and lengths 3 and 4 against the same
+    # and the zero-padded shorter ones: equal and unequal weights alike
+    decided = Counter()
+    for length in (3, 4):
+        alphas = [c for n in range(4, 8) for c in enumerate_compositions(n, length)]
+        betas = [
+            pad_to_length(c, length)
+            for k in range(1, length + 1)
+            for n in range(4, 8)
+            for c in enumerate_compositions(n, k)
+        ]
+        for alpha, beta in itertools.product(alphas, betas):
+            ahat, bhat = hat(alpha), hat(beta)
+            outcome = _class_outcome(sorted(ahat), sorted(bhat))
+            result = classify(alpha, beta)
+            matrix = build_matrix(alpha, beta)
+            exact = ndet_permutation_sum(matrix)
+            assert (result.outcome in ZERO_OUTCOMES) == exact.is_zero(), (alpha, beta)
+            if outcome is not None:
+                assert result == Classification(outcome), (alpha, beta)
+                decided[outcome] += 1
+            elif _no_repeated_zero_row(ahat, bhat):
+                sign, word, _ = greedy_h0_term(matrix)
+                assert result.witness == HExpansion({word: sign}), (alpha, beta)
+                decided["greedy"] += 1
+            else:
+                assert result.witness == (None if exact.is_zero() else exact)
+                decided["residual"] += 1
+    assert all(decided[k] for k in (*ZERO_OUTCOMES, "greedy", "residual")), decided
 
 
 def test_classify_provably_nonzero_implies_term_exists():
