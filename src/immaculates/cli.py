@@ -98,13 +98,16 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     sequences, on the beta side.  The rules that read only the sorted hats
     (the counting test and equal columns) run once per pair of classes,
     into one verdict table: under the weight cap at most 410 classes a
-    side (n=14, len=9).  A row reads its verdict from the table, and only the
-    rows that it leaves open go through :func:`classify`.  Both sequences
-    have weight n, so an open pair has sorted(ahat) == sorted(bhat) with
-    distinct entries: no row repeats, the greedy witness decides the pair
-    and no row reaches the exact expansion.  ``terms`` is the length of
-    the witness, 0 or 1, as is that of the expansion; a row that its
-    classes decide has none.
+    side (n=14, len=9).  A row reads its verdict from the table.  Both
+    sequences have weight n, so an open pair has sorted(ahat) ==
+    sorted(bhat) with distinct entries: the row with the k-th smallest
+    ahat is nonnegative on exactly k columns, so one selection survives,
+    each row taking the column whose bhat equals its ahat.  It picks only
+    zeros, so the expansion is sign·H[], and the greedy selection and the
+    augmenting-path matching are both this value matching.  The row is
+    PROVABLY_NONZERO when beta is a partition, else NONZERO_TERM_EXISTS,
+    certified by the matching, with ``terms`` 1; a row its classes decide
+    has none.
 
     Each record is a tuple in CENSUS_FIELDS order: ``(alpha, beta, class,
     certificate or None, terms, micros)``.
@@ -113,32 +116,29 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     beta_classes: dict[tuple[int, ...], int] = {}
     alphas, betas = [], []
     for c in enumerate_compositions(n, length):
-        key, text = tuple(sorted(hat(c))), format_parts(c)
-        alphas.append((c, text, alpha_classes.setdefault(key, len(alpha_classes))))
-        if not partitions_only or is_partition(c):
-            betas.append((c, text, beta_classes.setdefault(key, len(beta_classes))))
+        chat, text, partition = hat(c), format_parts(c), is_partition(c)
+        key = tuple(sorted(chat))
+        alphas.append((chat, text, alpha_classes.setdefault(key, len(alpha_classes))))
+        if partition or not partitions_only:
+            label = Outcome.PROVABLY_NONZERO if partition else Outcome.NONZERO_TERM_EXISTS
+            # column[bhat value]: its 1-based column, read only when bhat is distinct
+            column = {b: j for j, b in enumerate(chat, start=1)}
+            bclass = beta_classes.setdefault(key, len(beta_classes))
+            betas.append((text, bclass, label.value, column))
     # verdicts[aclass][bclass]: the class's Outcome value, or None when open
     verdicts = [
         [v and v.value for v in (_class_outcome(a, b) for b in beta_classes)]
         for a in alpha_classes
     ]
     clock = time.perf_counter_ns
-    for alpha, alpha_text, aclass in alphas:
+    for ahat, alpha_text, aclass in alphas:
         row_verdicts = verdicts[aclass]
-        for beta, beta_text, bclass in betas:
+        for beta_text, bclass, label, column in betas:
             started = clock() if timings else 0
-            outcome = row_verdicts[bclass]
+            outcome, certificate, terms = row_verdicts[bclass], None, 0
             if outcome is None:
-                result = classify(alpha, beta)
-                outcome = result.outcome.value
-                certificate = (
-                    format_certificate(result.certificate)
-                    if result.certificate is not None
-                    else None
-                )
-                terms = len(result.witness) if result.witness is not None else 0
-            else:
-                certificate, terms = None, 0
+                outcome, terms = label, 1
+                certificate = format_certificate(map(column.__getitem__, ahat))
             micros = (clock() - started) // 1000 if timings else 0
             yield alpha_text, beta_text, outcome, certificate, terms, micros
 

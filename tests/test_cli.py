@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 
 import immaculates
-from immaculates import Outcome, cli, enumerate_compositions, is_partition, predicates
+from immaculates import (
+    Outcome,
+    cli,
+    enumerate_compositions,
+    format_certificate,
+    is_partition,
+    predicates,
+)
 from immaculates.cli import (
     CENSUS_FIELDS,
     EXIT_IO,
@@ -323,7 +330,7 @@ def test_census_rows_are_what_the_general_encoders_write(partitions_only, timing
 @pytest.mark.parametrize("partitions_only", (False, True))
 def test_census_reaches_no_exact_expansion(partitions_only, monkeypatch):
     # equal weights: a passing pair has sorted(ahat) == sorted(bhat), so
-    # distinct bhat leaves no repeated row and the greedy term decides it
+    # distinct bhat leaves no repeated row and the value matching decides it
     expected = list(census_records(9, 4, partitions_only, False))
     classes = {rec[2] for rec in expected}
     assert Outcome.PROVABLY_NONZERO.value in classes
@@ -339,7 +346,8 @@ def test_census_reaches_no_exact_expansion(partitions_only, monkeypatch):
 @pytest.mark.parametrize("partitions_only", (False, True))
 def test_census_classifies_only_the_rows_its_classes_leave_open(partitions_only, monkeypatch):
     # the counting test and equal columns are decided once per pair of
-    # sorted-hat classes; only the nonzero rows reach classify
+    # sorted-hat classes; the rows they leave open are decided by the value
+    # matching, with no classify call, and agree with classify
     expected = list(census_records(9, 4, partitions_only, False))
     calls = []
 
@@ -349,12 +357,29 @@ def test_census_classifies_only_the_rows_its_classes_leave_open(partitions_only,
 
     monkeypatch.setattr(cli, "classify", counting_classify)
     assert list(census_records(9, 4, partitions_only, False)) == expected
+    assert calls == []
     classes = Counter(rec[2] for rec in expected)
     assert classes[Outcome.ALL_ZERO_PRE_CANCELLATION.value]
     assert classes[Outcome.ZERO_AFTER_CANCELLATION.value] != partitions_only
-    assert len(calls) == (
-        classes[Outcome.NONZERO_TERM_EXISTS.value] + classes[Outcome.PROVABLY_NONZERO.value]
-    )
+    compositions = list(enumerate_compositions(9, 4))
+    pairs = [
+        (alpha, beta)
+        for alpha in compositions  # lex on alpha, then beta
+        for beta in compositions
+        if not partitions_only or is_partition(beta)
+    ]
+    assert len(pairs) == len(expected)
+    nonzero = {Outcome.NONZERO_TERM_EXISTS.value, Outcome.PROVABLY_NONZERO.value}
+    opened = 0
+    for (alpha, beta), (_, _, outcome, certificate, terms, _) in zip(pairs, expected):
+        if outcome not in nonzero:
+            continue
+        opened += 1
+        result = predicates.classify(alpha, beta)
+        assert result.outcome.value == outcome
+        assert format_certificate(result.certificate) == certificate
+        assert len(result.witness) == terms == 1
+    assert opened == sum(classes[value] for value in nonzero)
 
 
 def test_enumerate_timings_change_only_micros(capsys, tmp_path):

@@ -495,3 +495,38 @@ def test_equal_weight_passing_pairs_property(pair):
     alpha, beta = pair
     assert sum(alpha) == sum(beta) and necessary_condition_holds(alpha, beta)
     _check_equal_weight_passing_pair(alpha, beta)
+
+
+@st.composite
+def distinct_equal_hat_pairs(draw):
+    """Pairs whose hats order one set of distinct values two ways.
+
+    alpha is a composition and beta a weak composition: a zero part of
+    beta at position i is the value -i, which alpha holds further right,
+    so beta's last part is never 0 and only inner zeros occur.
+    """
+    values = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6, unique=True))
+    alpha = unhat(draw(st.permutations(values)))
+    beta = unhat(draw(st.permutations(values)))
+    assume(min(alpha) >= 1 and min(beta) >= 0)
+    return alpha, beta
+
+
+@given(distinct_equal_hat_pairs())
+def test_distinct_equal_hats_are_decided_by_the_value_matching(pair):
+    # the row with the k-th smallest ahat is nonnegative on exactly k
+    # columns, so the one surviving selection takes the column whose bhat
+    # equals the row's ahat, and picks only zeros
+    alpha, beta = pair
+    bhat = hat(beta)
+    matching = tuple(bhat.index(a) + 1 for a in hat(alpha))
+    result = classify(alpha, beta)
+    assert result.certificate == matching
+    assert result.outcome is (
+        Outcome.PROVABLY_NONZERO
+        if is_zero_padded_partition(beta)
+        else Outcome.NONZERO_TERM_EXISTS
+    )
+    sign = SignedSelection.from_columns(matching).sign
+    assert result.witness == ndet_permutation_sum(build_matrix(alpha, beta))
+    assert result.witness == HExpansion({(): sign})
