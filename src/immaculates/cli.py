@@ -17,19 +17,18 @@ import sys
 import time
 
 from .compositions import (
-    _ASCII_WHITESPACE,
-    _PART,
     enumerate_compositions,
     format_parts,
     hat,
     is_partition,
     pad_to_length,
+    parse_int,
     parse_parts,
 )
 from .errors import LengthMismatchError
 from .matrix import build_matrix
 from .ndet import DEFAULT_DIM_CAP, ndet_laplace
-from .predicates import Outcome, _class_outcome, classify, format_certificate
+from .predicates import Outcome, classify, format_certificate
 from .symfunc import schur_via_jacobi_trudi, schur_via_tableaux
 
 EXIT_OK = 0
@@ -54,11 +53,10 @@ def _env_cap(default: int) -> int:
     raw = os.environ.get("IMMACULATE_DIM_CAP")
     if raw is None:
         return default
-    # the ASCII syntax of a composition part: 1_0, +3 or non-ASCII digits are malformed
-    text = raw.strip(_ASCII_WHITESPACE)
-    if not _PART.fullmatch(text):
-        raise ValueError(f"IMMACULATE_DIM_CAP must be an integer, got {raw!r}")
-    cap = int(text)
+    try:
+        cap = parse_int(raw)
+    except ValueError:
+        raise ValueError(f"IMMACULATE_DIM_CAP must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"IMMACULATE_DIM_CAP must be at least 1, got {cap}")
     return cap
@@ -93,49 +91,44 @@ def _cmd_classify(args) -> int:
 def census_records(n: int, length: int, partitions_only: bool, timings: bool):
     """One record per pair of weight-n length-`length` sequences, lex order.
 
-    Each composition is formatted and hatted once and keyed by its class:
-    its sorted hats, numbered on the alpha side and, among the skewing
-    sequences, on the beta side.  The rules that read only the sorted hats
-    (the counting test and equal columns) run once per pair of classes,
-    into one verdict table: under the weight cap at most 410 classes a
-    side (n=14, len=9).  A row reads its verdict from the table.  Both
-    sequences have weight n, so an open pair has sorted(ahat) ==
-    sorted(bhat) with distinct entries: the row with the k-th smallest
-    ahat is nonnegative on exactly k columns, so one selection survives,
-    each row taking the column whose bhat equals its ahat.  It picks only
-    zeros, so the expansion is sign·H[], and the greedy selection and the
-    augmenting-path matching are both this value matching.  The row is
-    PROVABLY_NONZERO when beta is a partition, else NONZERO_TERM_EXISTS,
-    certified by the matching, with ``terms`` 1; a row its classes decide
-    has none.
+    Each composition is formatted and hatted once and numbered by its
+    class, its sorted hats, in one numbering for alpha and beta.  Both have
+    weight n, so sum(ahat) == sum(bhat), and the counting test, sorted(ahat)
+    dominating sorted(bhat) entrywise, forces them equal: one strict
+    inequality would make the ahat sum the larger.  So a row whose classes
+    differ is ALL_ZERO_PRE_CANCELLATION, and within one class a repeated
+    bhat (equal columns, recorded per beta) makes it ZERO_AFTER_CANCELLATION.
+    Otherwise the row with the k-th smallest ahat is nonnegative on exactly k
+    columns, so one selection survives, each row taking the column whose bhat
+    equals its ahat.  It picks only zeros, so the expansion is sign·H[]; the
+    greedy selection and the matching are both this value matching.  The row
+    is PROVABLY_NONZERO when beta is a partition, else NONZERO_TERM_EXISTS,
+    with this certificate and ``terms`` 1; other rows have none.
 
     Each record is a tuple in CENSUS_FIELDS order: ``(alpha, beta, class,
     certificate or None, terms, micros)``.
     """
-    alpha_classes: dict[tuple[int, ...], int] = {}
-    beta_classes: dict[tuple[int, ...], int] = {}
+    all_zero = Outcome.ALL_ZERO_PRE_CANCELLATION.value
+    equal_columns = Outcome.ZERO_AFTER_CANCELLATION.value
+    classes: dict[tuple[int, ...], int] = {}
     alphas, betas = [], []
     for c in enumerate_compositions(n, length):
         chat, text, partition = hat(c), format_parts(c), is_partition(c)
-        key = tuple(sorted(chat))
-        alphas.append((chat, text, alpha_classes.setdefault(key, len(alpha_classes))))
+        cls = classes.setdefault(tuple(sorted(chat)), len(classes))
+        alphas.append((chat, text, cls))
         if partition or not partitions_only:
             label = Outcome.PROVABLY_NONZERO if partition else Outcome.NONZERO_TERM_EXISTS
             # column[bhat value]: its 1-based column, read only when bhat is distinct
             column = {b: j for j, b in enumerate(chat, start=1)}
-            bclass = beta_classes.setdefault(key, len(beta_classes))
-            betas.append((text, bclass, label.value, column))
-    # verdicts[aclass][bclass]: the class's Outcome value, or None when open
-    verdicts = [
-        [v and v.value for v in (_class_outcome(a, b) for b in beta_classes)]
-        for a in alpha_classes
-    ]
+            # its verdict against its own class: a repeated bhat is two equal columns
+            same_class = None if len(column) == length else equal_columns
+            betas.append((text, cls, same_class, label.value, column))
     clock = time.perf_counter_ns
     for ahat, alpha_text, aclass in alphas:
-        row_verdicts = verdicts[aclass]
-        for beta_text, bclass, label, column in betas:
+        for beta_text, bclass, same_class, label, column in betas:
             started = clock() if timings else 0
-            outcome, certificate, terms = row_verdicts[bclass], None, 0
+            outcome = same_class if aclass == bclass else all_zero
+            certificate, terms = None, 0
             if outcome is None:
                 outcome, terms = label, 1
                 certificate = format_certificate(map(column.__getitem__, ahat))
@@ -231,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="census of all pairs of a given weight and length")
+    # type=int options read the part syntax; argparse names the type int in its errors
+    p.register("type", int, parse_int)
     p.add_argument("--n", type=int, required=True, help="weight of both sequences")
     p.add_argument("--len", dest="length", type=int, required=True, help="number of parts")
     p.add_argument("--partitions-only", action="store_true",
@@ -244,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur-check",
                        help="compare tableau and determinant Schur polynomials")
+    p.register("type", int, parse_int)
     p.add_argument("outer", help="outer partition, e.g. 2,2")
     p.add_argument("--inner", help="inner partition")
     p.add_argument("--vars", type=int, required=True, help="number of variables")

@@ -16,25 +16,28 @@ from itertools import combinations
 
 Parts = tuple[int, ...]
 
-_PART = re.compile("-?[0-9]+")
-# string.whitespace, spelled out so that parsing needs no further import
-_ASCII_WHITESPACE = " \t\n\r\v\f"
+# the part syntax: ASCII digits, an optional leading minus, ASCII whitespace around
+_PART = re.compile(r"\s*-?\d+\s*", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """Parse one integer in the part syntax; ``int`` spellings beyond it,
+    such as ``1_0``, ``+3``, non-ASCII digits or a no-break space, raise."""
+    if not _PART.fullmatch(text):
+        raise ValueError(f"malformed integer: {text!r}")
+    return int(text)
 
 
 def parse_parts(text: str, minimum: int = 1) -> Parts:
     """Parse ``a1,a2,...`` into a tuple of ints, each >= ``minimum``.
 
     This is the one composition syntax used across the CLI: comma-separated
-    decimal integers, no brackets, e.g. ``6,4,3``.  Each part is ASCII
-    digits with an optional leading minus, so ``int`` spellings such as
-    ``1_0``, ``+3`` or non-ASCII digits are malformed.  Only ASCII
-    whitespace around a part is ignored; a no-break or ideographic space
-    makes the text malformed.
+    decimal integers, no brackets, e.g. ``6,4,3``, each read by parse_int.
     """
-    tokens = [t.strip(_ASCII_WHITESPACE) for t in str(text).split(",")]
-    if not all(map(_PART.fullmatch, tokens)):
-        raise ValueError(f"malformed composition text: {text!r}")
-    parts = tuple(map(int, tokens))
+    try:
+        parts = tuple(map(parse_int, str(text).split(",")))
+    except ValueError:
+        raise ValueError(f"malformed composition text: {text!r}") from None
     if any(p < minimum for p in parts):
         raise ValueError(f"every part must be >= {minimum}: {text!r}")
     return parts

@@ -203,9 +203,9 @@ def classify(alpha, beta, oracle_cap=DEFAULT_DIM_CAP) -> Classification:
     """Aggregate the tests, refining with the exact expansion when cheap.
 
     The one matrix built per call holds the hats that every test reads.
-    The first two rules read only the sorted hats, so the census runs them
-    once per pair of hat classes (``_class_outcome``): failure of the
-    counting test proves every term vanishes, and two equal columns make
+    The first two rules read only the sorted hats (``_class_outcome``):
+    failure of the counting test, which at equal weights passes only equal
+    sorted hats, proves every term vanishes, and two equal columns make
     the expansion exactly zero.  With distinct bhat and no two
     identical rows holding a zero, the greedy term survives all
     cancellation: for a partition skew by the no-cancellation theorem, and

@@ -345,9 +345,10 @@ def test_census_reaches_no_exact_expansion(partitions_only, monkeypatch):
 
 @pytest.mark.parametrize("partitions_only", (False, True))
 def test_census_classifies_only_the_rows_its_classes_leave_open(partitions_only, monkeypatch):
-    # the counting test and equal columns are decided once per pair of
-    # sorted-hat classes; the rows they leave open are decided by the value
-    # matching, with no classify call, and agree with classify
+    # a row whose sorted-hat classes differ fails the counting test, and
+    # equal columns are decided once per beta; the rows they leave open are
+    # decided by the value matching, with no classify call, and agree with
+    # classify
     expected = list(census_records(9, 4, partitions_only, False))
     calls = []
 
@@ -431,6 +432,29 @@ def test_enumerate_range_validation(capsys):
     assert code == EXIT_PARSE
     code, _, _ = run(capsys, "enumerate", "--n", "8", "--len", "8")
     assert code == EXIT_PARSE
+    # the integer options take the part syntax, not every int() spelling
+    for argv in (
+        ("--n", "1_2", "--len", " 2"),
+        ("--n", " +4", "--len", "2"),
+        ("--n", "4", "--len", "\u0662"),
+        ("--n", "4", "--len", "2\u00a0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", *argv])
+        assert exc.value.code == EXIT_PARSE, argv
+        assert "invalid int value" in capsys.readouterr().err, argv
+    code, out, _ = run(capsys, "enumerate", "--n", " 4 ", "--len", "\t2")
+    assert code == EXIT_OK and out.count("\n") == 9  # 3x3 pairs
+
+
+def test_schur_check_vars_validation(capsys):
+    for raw in ("1_0", "+3", "\u0663", "3\u00a0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur-check", "2,1", "--vars", raw])
+        assert exc.value.code == EXIT_PARSE, raw
+        assert "invalid int value" in capsys.readouterr().err, raw
+    code, out, _ = run(capsys, "schur-check", "2,1", "--vars", " 2 ")
+    assert (code, out) == (EXIT_OK, "MATCH +1·x1^2·x2 +1·x1·x2^2\n")
 
 
 README_EXAMPLE = re.compile(r"^immaculates (.+?)\s+# (.+)$", re.MULTILINE)

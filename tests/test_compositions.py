@@ -12,6 +12,7 @@ from immaculates.compositions import (
     is_weak_composition,
     is_zero_padded_partition,
     pad_to_length,
+    parse_int,
     parse_parts,
     strip_trailing_zeros,
 )
@@ -128,3 +129,11 @@ def test_parse_and_format_round_trip():
 def test_parse_rejects_int_spellings_beyond_ascii_digits(text):
     with pytest.raises(ValueError, match="malformed composition text"):
         parse_parts(text, minimum=0)
+
+
+def test_parse_int_is_the_part_syntax():
+    assert parse_int(" -07\t") == -7
+    assert parse_int("\n14\x0c") == 14
+    for text in ("1_0", "+3", "\u0663", "\uff12", "1e1", "0x3", "--3", "3 2", "", "2\u3000"):
+        with pytest.raises(ValueError, match="malformed integer"):
+            parse_int(text)

@@ -423,6 +423,26 @@ def test_class_outcome_agrees_with_classify_on_every_small_pair():
     assert all(decided[k] for k in (*ZERO_OUTCOMES, "greedy", "residual")), decided
 
 
+def test_equal_weight_class_comparison_is_the_class_outcome():
+    # the census's shortcut, for every census size under the caps (n <= 14,
+    # len <= 9): at equal weight sum(ahat) == sum(bhat), and sorted
+    # dominance with equal sums is equality, so only equal classes pass
+    pairs = 0
+    for length in range(1, 10):
+        for n in range(length, 15):
+            keys = {tuple(sorted(hat(c))) for c in enumerate_compositions(n, length)}
+            for a, b in itertools.product(keys, repeat=2):
+                if a != b:
+                    expected = Outcome.ALL_ZERO_PRE_CANCELLATION
+                elif len(set(a)) < length:
+                    expected = Outcome.ZERO_AFTER_CANCELLATION
+                else:
+                    expected = None
+                assert _class_outcome(a, b) is expected, (a, b)
+            pairs += len(keys) ** 2
+    assert pairs == 733442
+
+
 def test_classify_provably_nonzero_implies_term_exists():
     rng = random.Random(61)
     for _ in range(200):
