@@ -41,12 +41,12 @@ ENUMERATE_WEIGHT_CAP = 14
 ENUMERATE_LENGTH_CAP = 7
 
 CENSUS_FIELDS = ("alpha", "beta", "class", "certificate", "terms", "micros")
-# One JSON-lines census row, byte for byte what json.dumps writes: no field
-# needs escaping (digits, commas, "->", an Outcome value and two ints).
-_CENSUS_ROW = (
-    '{"alpha": "%s", "beta": "%s", "class": "%s", '
-    '"certificate": %s, "terms": %d, "micros": %d}\n'
-)
+# A JSON-lines census row is '{"alpha": "A", "beta": "' + B + this tail, byte
+# for byte what json.dumps writes: no field needs escaping (digits, commas,
+# "->", an Outcome value and two ints).
+_CENSUS_TAIL = '", "class": "%s", "certificate": %s, "terms": %d, "micros": %d}\n'
+# Rows per write: about 130 KB of text, so memory stays flat.
+_CENSUS_BATCH = 1024
 
 
 def _env_cap(default: int) -> int:
@@ -140,6 +140,13 @@ def _write_census(records, stream, fmt: str) -> dict[str, int]:
     """Write the census records; return the count of each class, in Outcome order.
 
     CSV writes a None certificate as an empty field, JSON lines as null.
+    A JSON-lines row is three parts: the alpha's head, the beta text and the
+    tail after it.  The head is rebuilt only when alpha is not the last
+    alpha object (census_records reuses one str per alpha; an equal but
+    distinct str just rebuilds it).  Each distinct ``(class, certificate,
+    terms, micros)`` tail is formatted once and counts its rows, which are
+    added to the class counts at the end.  The parts are joined and written
+    every _CENSUS_BATCH rows.
     """
     counts = dict.fromkeys((outcome.value for outcome in Outcome), 0)
     if fmt == "csv":
@@ -150,13 +157,33 @@ def _write_census(records, stream, fmt: str) -> dict[str, int]:
             writer.writerow(rec)
     else:
         write = stream.write
+        # tails[(class, certificate, terms, micros)]: [its text, rows so far]
+        tails: dict[tuple, list] = {}
+        parts: list[str] = []
+        append = parts.append
+        last_alpha = head = None
+        left = _CENSUS_BATCH
         for alpha, beta, outcome, certificate, terms, micros in records:
-            counts[outcome] += 1
-            write(_CENSUS_ROW % (
-                alpha, beta, outcome,
-                "null" if certificate is None else '"%s"' % certificate,
-                terms, micros,
-            ))
+            if alpha is not last_alpha:
+                last_alpha = alpha
+                head = '{"alpha": "%s", "beta": "' % alpha
+            key = outcome, certificate, terms, micros
+            tail = tails.get(key)
+            if tail is None:
+                certificate = "null" if certificate is None else '"%s"' % certificate
+                tail = tails[key] = [_CENSUS_TAIL % (outcome, certificate, terms, micros), 0]
+            tail[1] += 1
+            append(head)
+            append(beta)
+            append(tail[0])
+            left -= 1
+            if not left:
+                write("".join(parts))
+                parts.clear()
+                left = _CENSUS_BATCH
+        write("".join(parts))
+        for (outcome, *_), (_, rows) in tails.items():
+            counts[outcome] += rows
     return counts
 
 
@@ -248,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a parse error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except LengthMismatchError as exc:

@@ -327,6 +327,57 @@ def test_census_rows_are_what_the_general_encoders_write(partitions_only, timing
     assert list(json_counts.items()) == list(csv_counts.items()) == expected
 
 
+def test_json_lines_writer_on_synthetic_records():
+    # Each row's alpha is a fresh str, so equal alphas are distinct objects
+    # and a freed alpha's address may be reused by the next, different one;
+    # "1,2" comes back after "2,1"; micros differ on every row; certificates
+    # mix None and strs; 5,000 rows make more than three batches.
+    alphas = ("1,2", "1,2", "2,1", "1,2", "3,10", "10,3")
+    outcomes = [outcome.value for outcome in Outcome]
+    records = []
+    for i in range(5000):
+        certificate = None if i % 3 else "1->%d,2->%d" % (1 + i % 2, 2 - i % 2)
+        records.append((
+            alphas[i // 7 % len(alphas)], "%d,%d" % (i % 5, i % 11),
+            outcomes[i % 4], certificate, i % 2, i,
+        ))
+
+    def fresh(records):
+        for alpha, *rest in records:
+            yield (alpha[:1] + alpha[1:], *rest)
+
+    stream = io.StringIO()
+    counts = _write_census(fresh(records), stream, "json-lines")
+    lines = stream.getvalue().splitlines(keepends=True)
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        assert line == json.dumps(dict(zip(CENSUS_FIELDS, rec))) + "\n", rec
+    classes = Counter(rec[2] for rec in records)
+    assert counts == {value: classes[value] for value in outcomes}
+    assert list(counts) == outcomes
+
+
+class CountingStream:
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return len(text)
+
+
+def test_json_lines_writer_writes_in_bounded_batches():
+    # not one write per row, and not one write of the whole census
+    stream = CountingStream()
+    counts = _write_census(census_records(12, 5, False, False), stream, "json-lines")
+    rows = sum(counts.values())
+    assert rows == 108900
+    assert len(stream.writes) <= rows // 256 + 2
+    assert max(stream.writes) <= 256 * 1024
+
+
 @pytest.mark.parametrize("partitions_only", (False, True))
 def test_census_reaches_no_exact_expansion(partitions_only, monkeypatch):
     # equal weights: a passing pair has sorted(ahat) == sorted(bhat), so
@@ -439,22 +490,27 @@ def test_enumerate_range_validation(capsys):
         ("--n", "4", "--len", "\u0662"),
         ("--n", "4", "--len", "2\u00a0"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", *argv])
-        assert exc.value.code == EXIT_PARSE, argv
-        assert "invalid int value" in capsys.readouterr().err, argv
+        code, _, err = run(capsys, "enumerate", *argv)
+        assert code == EXIT_PARSE, argv
+        assert "invalid int value" in err, argv
     code, out, _ = run(capsys, "enumerate", "--n", " 4 ", "--len", "\t2")
     assert code == EXIT_OK and out.count("\n") == 9  # 3x3 pairs
 
 
 def test_schur_check_vars_validation(capsys):
     for raw in ("1_0", "+3", "\u0663", "3\u00a0"):
-        with pytest.raises(SystemExit) as exc:
-            main(["schur-check", "2,1", "--vars", raw])
-        assert exc.value.code == EXIT_PARSE, raw
-        assert "invalid int value" in capsys.readouterr().err, raw
+        code, _, err = run(capsys, "schur-check", "2,1", "--vars", raw)
+        assert code == EXIT_PARSE, raw
+        assert "invalid int value" in err, raw
     code, out, _ = run(capsys, "schur-check", "2,1", "--vars", " 2 ")
     assert (code, out) == (EXIT_OK, "MATCH +1·x1^2·x2 +1·x1·x2^2\n")
+
+
+def test_main_returns_the_argparse_exit_code(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == EXIT_OK and "usage: immaculates" in out
+    code, _, err = run(capsys, "enumerate", "--n", "4")
+    assert code == EXIT_PARSE and "--len" in err
 
 
 README_EXAMPLE = re.compile(r"^immaculates (.+?)\s+# (.+)$", re.MULTILINE)
