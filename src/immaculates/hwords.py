@@ -17,6 +17,9 @@ The exact sparse term map under both algebras lives here too: H-expansions
 and the polynomials of ``symfunc`` are :class:`TermMap` subclasses, and
 its zero-dropping accumulate exists once in :func:`add_terms` and once in
 :func:`add_product`, also the inner loop of the Laplace engine in ``ndet``.
+An expansion whose terms are distinct signed rook placements can also be
+held as those placements (``_Placed``), rendered from text templates and
+expanded into a term map only when its terms are read.
 """
 
 from __future__ import annotations
@@ -87,10 +90,17 @@ class TermMap:
 
     Immutable by convention.  Each slot a subclass adds is part of its
     value and prints before the terms in ``repr``; two term maps are equal
-    when they share the class, those slots and the terms.
+    when they share the class, those slots and the terms.  A subclass
+    declared with ``value_of=Base`` is another form of ``Base``: it
+    compares, hashes and prints as a ``Base``, and its own slots are not
+    part of its value.
     """
 
     __slots__ = ("_terms",)
+
+    def __init_subclass__(cls, value_of=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._value_type = value_of or cls
 
     @staticmethod
     def _merged(terms, check_key) -> dict:
@@ -113,21 +123,23 @@ class TermMap:
         return len(self._terms)
 
     def _slot_values(self) -> tuple:
-        return tuple(getattr(self, name) for name in type(self).__slots__)
+        return tuple(getattr(self, name) for name in self._value_type.__slots__)
 
     def __eq__(self, other) -> bool:
         return (
-            type(other) is type(self)
+            getattr(other, "_value_type", None) is self._value_type
             and self._slot_values() == other._slot_values()
             and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((type(self), self._slot_values(), frozenset(self._terms.items())))
+        return hash(
+            (self._value_type, self._slot_values(), frozenset(self._terms.items()))
+        )
 
     def __repr__(self) -> str:
         head = "".join(f"{value!r}, " for value in self._slot_values())
-        return f"{type(self).__name__}({head}{self.render()!r})"
+        return f"{self._value_type.__name__}({head}{self.render()!r})"
 
     def _graded(self, grade, reverse: bool):
         """Yield ``(g, keys)`` for each grade ``g`` of the keys, in grade order.
@@ -241,3 +253,61 @@ class HExpansion(TermMap):
                 codes.release()  # frees the code units before the join allocates
                 parts[-1] = parts[-1][:-1]  # render puts the space between chunks
                 yield "".join(parts)
+
+
+# Where a template takes the prefix of a top placement; no rendered term holds it.
+_PREFIX = "\0"
+
+
+class _Placed(HExpansion, value_of=HExpansion):
+    """An H-expansion held as its signed rook placements, split into top and bottom rows.
+
+    Every word has one letter per row and no two placements give the same
+    word, so each placement is one term with coefficient ±1.  ``bottoms``
+    maps a column set to the placements ``(sign, word)`` of the bottom
+    rows on it, and ``tops`` lists those ``(sign, word, key)`` of the top
+    rows, ``key`` the column set they leave to the bottom rows; each in
+    render order, so that a top word followed by its bottom words is too.
+    A term's sign is the product of its two.  ``build()`` returns the term
+    map, made on the first read of the terms; the text, ``len`` and
+    ``is_zero`` come from the placements.
+    """
+
+    __slots__ = ("_tops", "_bottoms", "_build")
+
+    def __init__(self, tops, bottoms, build):
+        self._tops, self._bottoms, self._build = tops, bottoms, build
+
+    def __getattr__(self, name):
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._terms = terms = self._build()
+        return terms
+
+    def __len__(self) -> int:
+        bottoms = self._bottoms
+        return sum(len(bottoms.get(key, ())) for _, _, key in self._tops)
+
+    def is_zero(self) -> bool:
+        return not len(self)
+
+    def _rendered_chunks(self):
+        """Yield, per top placement, the terms it heads, space-joined.
+
+        Each column set of the bottom rows gets its terms as one template,
+        with ``_PREFIX`` where the top word goes, and the same with every
+        sign flipped; a top placement's chunk is one ``str.replace`` on the
+        template its sign picks.  A top placement whose columns leave no
+        bottom placement heads no term and yields no chunk.
+        """
+        templates = {}
+        for key, placed in self._bottoms.items():
+            terms = [(sign, f"1·H[{_PREFIX}{','.join(map(str, word))}]") for sign, word in placed]
+            templates[key] = tuple(
+                " ".join(("+" if sign == top else "-") + text for sign, text in terms)
+                for top in (1, -1)
+            )
+        for sign, word, key in self._tops:
+            pair = templates.get(key)
+            if pair is not None:
+                yield pair[sign < 0].replace(_PREFIX, "".join(f"{a}," for a in word))

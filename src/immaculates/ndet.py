@@ -10,16 +10,25 @@ H-words and for the Jacobi-Trudi determinant in ``symfunc``.
 Every product is the shared term-map ``hwords.add_product``.
 The plain sum over all l! selections, its independent test oracle, lives
 with the other oracles in the test suite.
+
+A zero-free pair, whose matrix has no zero entry (no ``ahat`` value lies
+in ``bhat``) and whose ``bhat`` is distinct, skips the engine: each
+surviving selection's word has one letter per row, and its k-th letter
+``ahat_k - bhat_j`` fixes the column ``j`` of row k.  So no two selections
+give the same word and nothing cancels: the expansion is the signed list
+of rook placements on the positive entries, a Ferrers board, and
+``ndet_laplace`` returns those placements, which render without a term map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import NamedTuple
 
 from .errors import DimensionCapError
-from .hwords import HExpansion, _encoded, add_product
+from .hwords import HExpansion, _encoded, _Placed, add_product
 from .matrix import SubscriptMatrix, build_matrix
 
 # l! terms beyond this exceed desk scale; the CLI can override via env.
@@ -122,13 +131,69 @@ def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
 
     A negative pivot kills every word through it, so its cofactor is
     skipped; a zero pivot is the unit.  The split is :func:`_determinant`'s.
+    A zero-free pair with distinct ``bhat`` (see the module docstring)
+    takes no term map: its result holds the rook placements of the top
+    and bottom halves and builds its terms with this engine only when
+    they are read.  A repeated ``bhat`` gives two equal columns, whose
+    words cancel in pairs, so that pair takes the engine.
     """
     _check_cap(m.dim, cap)
+    if set(m.ahat).isdisjoint(m.bhat) and len(set(m.bhat)) == m.dim:
+        return _placed(m)
+    return HExpansion._of(_expanded(m))
+
+
+def _expanded(m: SubscriptMatrix) -> dict:
+    """The terms of ``m``'s expansion by :func:`_determinant`, over encoded H-words."""
     cells = [
         [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
         for row in m.entries
     ]
-    return HExpansion._of(_determinant(cells, "", operator.add))
+    return _determinant(cells, "", operator.add)
+
+
+def _placements(ahat, columns) -> list:
+    """The rook placements of rows ``ahat`` on their positive entries, in render order.
+
+    ``columns`` lists the pairs ``(j, bhat_j)`` by falling ``bhat``, so each
+    row meets its letters ``ahat_i - bhat_j`` rising, and the placements
+    come by their words ascending.  Each is ``(cols, word, sign)``: the
+    bitmask of the columns taken, the letters, and the sign of the order
+    the columns are taken in, as a permutation of their sorted set.
+    """
+    placed = [(0, (), 1)]
+    for a in ahat:
+        placed = [
+            (cols | 1 << j, (*word, a - b), -sign if (cols >> j).bit_count() & 1 else sign)
+            for cols, word, sign in placed
+            for j, b in columns
+            if b < a and not cols >> j & 1
+        ]
+    return placed
+
+
+def _placed(m: SubscriptMatrix) -> _Placed:
+    """The expansion of a zero-free pair with distinct ``bhat``, as its rook placements.
+
+    The top ``h = l // 2`` rows and the bottom rows are placed apart and
+    joined as :func:`_determinant` joins its halves: the sign of a top
+    placement on the 0-based column set T is also multiplied by the
+    parity of ``sum(T) - h(h-1)/2``, the inversions between T and the rest.
+    """
+    l, h = m.dim, m.dim // 2
+    columns = sorted(enumerate(m.bhat), key=operator.itemgetter(1), reverse=True)
+    bottoms: dict[int, list] = {}
+    for cols, word, sign in _placements(m.ahat[h:], columns):
+        bottoms.setdefault(cols, []).append((sign, word))
+    # sum(T) is odd iff T holds an odd number of odd columns
+    odd = sum(1 << j for j in range(1, l, 2))
+    shift = h * (h - 1) // 2
+    full = (1 << l) - 1
+    tops = [
+        (-sign if ((cols & odd).bit_count() + shift) & 1 else sign, word, full ^ cols)
+        for cols, word, sign in _placements(m.ahat[:h], columns)
+    ]
+    return _Placed(tops, bottoms, functools.partial(_expanded, m))
 
 
 def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:

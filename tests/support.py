@@ -68,6 +68,26 @@ def equal_length_pairs(draw):
     return tuple(alpha), tuple(beta)
 
 
+@st.composite
+def zero_free_pairs(draw):
+    """Hypothesis strategy: (alpha, beta) of one length in 1..7 with a zero-free matrix.
+
+    ``bhat`` is distinct and no ``ahat`` value lies in it, so no entry is
+    zero; entries below zero and boards with no full placement (a zero
+    expansion) are common.
+    """
+    length = draw(st.integers(min_value=1, max_value=7))
+    bhat = draw(st.lists(st.integers(-1, 9), min_size=length, max_size=length, unique=True))
+    ahat = [
+        draw(st.sampled_from([a for a in range(max(-i, -2), 15) if a not in bhat]))
+        for i in range(length)
+    ]
+    return (
+        tuple(a + i for i, a in enumerate(ahat, 1)),
+        tuple(b + j for j, b in enumerate(bhat, 1)),
+    )
+
+
 # Nonzero coefficients up to 10**30 in size, so renders are checked on bigints.
 large_coefficients = st.integers(min_value=-(10**30), max_value=10**30).filter(bool)
 

@@ -98,6 +98,15 @@ def test_subscripts_up_to_maxunicode(capsys):
         assert f"above the limit {limit}" in err
 
 
+def test_expand_prints_the_render(capsys, monkeypatch):
+    # 8^8 is zero-free, so its expansion renders from rook placements; the
+    # CLI must still print what HExpansion.render returns.
+    monkeypatch.setattr(immaculates.HExpansion, "render", lambda self: "rendered")
+    code, out, _ = run(capsys, "expand", "8,8,8,8,8,8,8,8")
+    assert code == EXIT_OK
+    assert out == "rendered\n"
+
+
 def test_expand_cancelling_pair(capsys):
     code, out, _ = run(capsys, "expand", "9,5,5", "--skew", "2,5,6")
     assert code == EXIT_OK

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import operator
@@ -28,6 +29,7 @@ from support import (
     ndet_permutation_sum,
     random_composition,
     term_of_selection,
+    zero_free_pairs,
 )
 
 
@@ -55,6 +57,10 @@ def test_worked_expansion():
 def test_cancelling_pair_expands_to_zero():
     assert ndet_permutation_sum(build_matrix((9, 5, 5), (2, 5, 6))).is_zero()
     assert skew_immaculate((9, 5, 5), (2, 5, 6)).is_zero()
+    # no zero entry, but bhat (-1, -1, -3) repeats: the two equal columns cancel
+    assert ndet_permutation_sum(build_matrix((5, 5, 5), (0, 1, 0))).is_zero()
+    expansion = skew_immaculate((5, 5, 5), (0, 1, 0))
+    assert expansion.is_zero() and len(expansion) == 0 and expansion.render() == "0"
 
 
 def test_all_terms_dead_pair_expands_to_zero():
@@ -168,9 +174,10 @@ def test_dimension_cap_enforced():
 def test_laplace_releases_each_minor_once_used():
     # Split in halves, 8^8 keeps only their small minors beside the result
     # (~1.005x); the release itself is guarded on the layered pass below.
+    # 8^8 is zero-free, so ndet_laplace would not run the engine on it.
     tracemalloc.start()
     try:
-        result = immaculate((8,) * 8)
+        result = ndet._expanded(build_matrix((8,) * 8, (0,) * 8))
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -201,7 +208,7 @@ def test_laplace_words_take_little_memory():
     # peak; one code point per subscript in a str brings it near 104.
     tracemalloc.start()
     try:
-        result = immaculate((8,) * 8)
+        result = ndet._expanded(build_matrix((8,) * 8, (0,) * 8))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -237,9 +244,55 @@ def test_laplace_forms_each_word_about_once(monkeypatch):
         return add_product(acc, left, right, counted_mul, scale)
 
     monkeypatch.setattr(ndet, "add_product", counting_add_product)
-    result = immaculate((8,) * 8)
+    result = ndet._expanded(build_matrix((8,) * 8, (0,) * 8))
     assert len(result) == math.factorial(8)
     assert calls <= 1.2 * math.factorial(8)
+
+
+def _refuse(*args):
+    raise AssertionError("this expansion step must not run")
+
+
+def test_dimension_cap_comes_before_any_work(monkeypatch):
+    monkeypatch.setattr(ndet, "_placements", _refuse)
+    monkeypatch.setattr(ndet, "_determinant", _refuse)
+    alpha, beta = tuple(range(2, 13)), (1,) * 11  # zero-free, distinct bhat
+    with pytest.raises(DimensionCapError):
+        skew_immaculate(alpha, beta)
+
+
+def _ferrers_rook_count(m):
+    """prod_k (c_(k) - k + 1), c_(k) the columns below the k-th smallest ahat."""
+    return math.prod(
+        sum(b < a for b in m.bhat) - k for k, a in enumerate(sorted(m.ahat))
+    )
+
+
+@given(zero_free_pairs())
+def test_zero_free_expansion_is_the_engines(pair):
+    m = build_matrix(*pair)
+    got = ndet_laplace(m)
+    engine = HExpansion._of(ndet._expanded(m))
+    assert got.render() == ndet_permutation_sum(m).render()
+    assert isinstance(got, HExpansion) and repr(got) == repr(engine)
+    # the count comes from the placements, before any term is built
+    assert len(got) == _ferrers_rook_count(m) == len(engine)
+    assert got.is_zero() == engine.is_zero() == (got.render() == "0")
+    assert got == engine and engine == got and hash(got) == hash(engine)
+    assert got != HExpansion({(1,) * (m.dim + 1): 1}) and got != engine.render()
+    assert dict(got.items()) == dict(engine.items())
+    for word, coeff in engine.items():
+        assert got.coefficient(word) == coeff
+
+
+def test_zero_free_expansion_renders_without_the_engine(monkeypatch):
+    monkeypatch.setattr(ndet, "_determinant", _refuse)
+    expansion = immaculate((9,) * 9)
+    assert len(expansion) == math.factorial(9) and not expansion.is_zero()
+    text = expansion.render()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bd9d1c66f28826be564dbc0f1183c4102e24d0dd86415b672a76d1ca0c2b16e1"
+    )
 
 
 def _split_test_pairs():
