@@ -11,7 +11,6 @@ caps (default 10 for expand and classify, 7 for enumerate).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -41,12 +40,28 @@ ENUMERATE_WEIGHT_CAP = 14
 ENUMERATE_LENGTH_CAP = 7
 
 CENSUS_FIELDS = ("alpha", "beta", "class", "certificate", "terms", "micros")
-# A JSON-lines census row is '{"alpha": "A", "beta": "' + B + this tail, byte
-# for byte what json.dumps writes: no field needs escaping (digits, commas,
-# "->", an Outcome value and two ints).
-_CENSUS_TAIL = '", "class": "%s", "certificate": %s, "terms": %d, "micros": %d}\n'
 # Rows per write: about 130 KB of text, so memory stays flat.
 _CENSUS_BATCH = 1024
+_JSON_TAIL = '", "class": "%s", "certificate": %s, "terms": %d, "micros": %d}\n'
+
+
+def _csv_field(text: str) -> str:
+    return '"%s"' % text if "," in text else text
+
+
+def _json_tail(outcome, certificate, terms, micros) -> str:
+    certificate = "null" if certificate is None else '"%s"' % certificate
+    return _JSON_TAIL % (outcome, certificate, terms, micros)
+
+
+def _csv_tail(outcome, certificate, terms, micros) -> str:
+    return ",%s,%s,%d,%d\r\n" % (outcome, _csv_field(certificate or ""), terms, micros)
+
+
+_CENSUS_FORMATS = {
+    "json-lines": ("", '{"alpha": "%s", "beta": "', None, _json_tail),
+    "csv": (",".join(CENSUS_FIELDS) + "\r\n", "%s,", _csv_field, _csv_tail),
+}
 
 
 def _env_cap(default: int) -> int:
@@ -139,51 +154,45 @@ def census_records(n: int, length: int, partitions_only: bool, timings: bool):
 def _write_census(records, stream, fmt: str) -> dict[str, int]:
     """Write the census records; return the count of each class, in Outcome order.
 
-    CSV writes a None certificate as an empty field, JSON lines as null.
-    A JSON-lines row is three parts: the alpha's head, the beta text and the
-    tail after it.  The head is rebuilt only when alpha is not the last
-    alpha object (census_records reuses one str per alpha; an equal but
-    distinct str just rebuilds it).  Each distinct ``(class, certificate,
-    terms, micros)`` tail is formatted once and counts its rows, which are
-    added to the class counts at the end.  The parts are joined and written
-    every _CENSUS_BATCH rows.
+    One loop writes each of _CENSUS_FORMATS: its header, then per row the
+    head around the alpha, rebuilt only when alpha is not the last alpha
+    object, the beta and the tail of ``(class, certificate, terms, micros)``,
+    formatted once per distinct tail, which counts its rows.  The parts are
+    written every _CENSUS_BATCH rows.  No field needs escaping (digits,
+    commas, "->", an Outcome value), so a JSON-lines row is byte for byte
+    json.dumps, and the minimal quoting of stdlib csv is quoting a field
+    that holds a comma; like csv.writer, CSV ends rows in CRLF and writes a
+    None certificate as an empty field.
     """
+    header, head_text, quote, tail_of = _CENSUS_FORMATS[fmt]
+    write = stream.write
+    # tails[(class, certificate, terms, micros)]: [its text, rows so far]
+    tails: dict[tuple, list] = {}
+    parts: list[str] = [header]
+    append = parts.append
+    last_alpha = head = None
+    left = _CENSUS_BATCH
+    for alpha, beta, outcome, certificate, terms, micros in records:
+        if alpha is not last_alpha:
+            last_alpha = alpha
+            head = head_text % (alpha if quote is None else quote(alpha))
+        key = outcome, certificate, terms, micros
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = [tail_of(*key), 0]
+        tail[1] += 1
+        append(head)
+        append(beta if quote is None else quote(beta))
+        append(tail[0])
+        left -= 1
+        if not left:
+            write("".join(parts))
+            parts.clear()
+            left = _CENSUS_BATCH
+    write("".join(parts))
     counts = dict.fromkeys((outcome.value for outcome in Outcome), 0)
-    if fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(CENSUS_FIELDS)
-        for rec in records:
-            counts[rec[2]] += 1
-            writer.writerow(rec)
-    else:
-        write = stream.write
-        # tails[(class, certificate, terms, micros)]: [its text, rows so far]
-        tails: dict[tuple, list] = {}
-        parts: list[str] = []
-        append = parts.append
-        last_alpha = head = None
-        left = _CENSUS_BATCH
-        for alpha, beta, outcome, certificate, terms, micros in records:
-            if alpha is not last_alpha:
-                last_alpha = alpha
-                head = '{"alpha": "%s", "beta": "' % alpha
-            key = outcome, certificate, terms, micros
-            tail = tails.get(key)
-            if tail is None:
-                certificate = "null" if certificate is None else '"%s"' % certificate
-                tail = tails[key] = [_CENSUS_TAIL % (outcome, certificate, terms, micros), 0]
-            tail[1] += 1
-            append(head)
-            append(beta)
-            append(tail[0])
-            left -= 1
-            if not left:
-                write("".join(parts))
-                parts.clear()
-                left = _CENSUS_BATCH
-        write("".join(parts))
-        for (outcome, *_), (_, rows) in tails.items():
-            counts[outcome] += rows
+    for (outcome, *_), (_, rows) in tails.items():
+        counts[outcome] += rows
     return counts
 
 
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", dest="length", type=int, required=True, help="number of parts")
     p.add_argument("--partitions-only", action="store_true",
                    help="restrict the skewing sequence to partitions")
-    p.add_argument("--format", choices=["json-lines", "csv"], default="json-lines")
+    p.add_argument("--format", choices=list(_CENSUS_FORMATS), default="json-lines")
     p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     p.add_argument("--timings", action="store_true",
                    help="record real elapsed microseconds per pair "

@@ -115,15 +115,20 @@ def _determinant(cells, unit, mul) -> dict:
     if len(bottom) < math.comb(l, h):
         return _minors(cells[:h], bottom, mul).get(full, {})
     top = _minors(cells[:h], {0: {unit: 1}}, mul)
-    # sum(T) is odd iff T holds an odd number of odd columns
-    odd = sum(1 << j for j in range(1, l, 2))
-    shift = h * (h - 1) // 2
+    join_sign = _join_sign(l, h)
     acc: dict = {}
     while top:
         cols, upper = top.popitem()
-        sign = -1 if ((cols & odd).bit_count() + shift) & 1 else 1
-        add_product(acc, upper, bottom.pop(full ^ cols), mul, sign)
+        add_product(acc, upper, bottom.pop(full ^ cols), mul, join_sign(cols))
     return acc
+
+
+def _join_sign(l: int, h: int):
+    """``T -> (-1) ** (sum(T) - h(h-1)/2)``: the top ``h`` of ``l`` rows on T joined to the rest."""
+    # sum(T) is odd iff the bitmask T holds an odd number of odd columns
+    odd = sum(1 << j for j in range(1, l, 2))
+    shift = h * (h - 1) // 2
+    return lambda cols: -1 if ((cols & odd).bit_count() + shift) & 1 else 1
 
 
 def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
@@ -177,20 +182,17 @@ def _placed(m: SubscriptMatrix) -> _Placed:
 
     The top ``h = l // 2`` rows and the bottom rows are placed apart and
     joined as :func:`_determinant` joins its halves: the sign of a top
-    placement on the 0-based column set T is also multiplied by the
-    parity of ``sum(T) - h(h-1)/2``, the inversions between T and the rest.
+    placement is also multiplied by :func:`_join_sign` of its columns.
     """
     l, h = m.dim, m.dim // 2
     columns = sorted(enumerate(m.bhat), key=operator.itemgetter(1), reverse=True)
     bottoms: dict[int, list] = {}
     for cols, word, sign in _placements(m.ahat[h:], columns):
         bottoms.setdefault(cols, []).append((sign, word))
-    # sum(T) is odd iff T holds an odd number of odd columns
-    odd = sum(1 << j for j in range(1, l, 2))
-    shift = h * (h - 1) // 2
+    join_sign = _join_sign(l, h)
     full = (1 << l) - 1
     tops = [
-        (-sign if ((cols & odd).bit_count() + shift) & 1 else sign, word, full ^ cols)
+        (sign * join_sign(cols), word, full ^ cols)
         for cols, word, sign in _placements(m.ahat[:h], columns)
     ]
     return _Placed(tops, bottoms, functools.partial(_expanded, m))

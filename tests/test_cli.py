@@ -336,19 +336,21 @@ def test_census_rows_are_what_the_general_encoders_write(partitions_only, timing
     assert list(json_counts.items()) == list(csv_counts.items()) == expected
 
 
-def test_json_lines_writer_on_synthetic_records():
+@pytest.mark.parametrize("fmt", ("json-lines", "csv"))
+def test_census_writer_on_synthetic_records(fmt):
     # Each row's alpha is a fresh str, so equal alphas are distinct objects
     # and a freed alpha's address may be reused by the next, different one;
-    # "1,2" comes back after "2,1"; micros differ on every row; certificates
-    # mix None and strs; 5,000 rows make more than three batches.
-    alphas = ("1,2", "1,2", "2,1", "1,2", "3,10", "10,3")
+    # "1,2" comes back after "2,1"; 1-part alphas and betas hold no comma,
+    # so CSV leaves them unquoted; micros differ on every row; certificates
+    # mix None, one pair and two; 5,000 rows make more than three batches.
+    alphas = ("1,2", "1,2", "2,1", "1,2", "3,10", "10,3", "17", "12", "17")
     outcomes = [outcome.value for outcome in Outcome]
     records = []
     for i in range(5000):
-        certificate = None if i % 3 else "1->%d,2->%d" % (1 + i % 2, 2 - i % 2)
+        certificate = (None, "1->%d,2->%d" % (1 + i % 2, 2 - i % 2), None, "1->1")[i % 4]
+        beta = "%d" % (i % 13) if i % 5 == 2 else "%d,%d" % (i % 5, i % 11)
         records.append((
-            alphas[i // 7 % len(alphas)], "%d,%d" % (i % 5, i % 11),
-            outcomes[i % 4], certificate, i % 2, i,
+            alphas[i // 7 % len(alphas)], beta, outcomes[i % 4], certificate, i % 2, i,
         ))
 
     def fresh(records):
@@ -356,11 +358,21 @@ def test_json_lines_writer_on_synthetic_records():
             yield (alpha[:1] + alpha[1:], *rest)
 
     stream = io.StringIO()
-    counts = _write_census(fresh(records), stream, "json-lines")
+    counts = _write_census(fresh(records), stream, fmt)
+    if fmt == "csv":
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(CENSUS_FIELDS)
+        for rec in records:
+            writer.writerow(rec)
+        expected = table.getvalue().splitlines(keepends=True)
+    else:
+        expected = [json.dumps(dict(zip(CENSUS_FIELDS, rec))) + "\n" for rec in records]
+    # line by line, so a failure reports one line, not a diff of the whole text
     lines = stream.getvalue().splitlines(keepends=True)
-    assert len(lines) == len(records)
-    for line, rec in zip(lines, records):
-        assert line == json.dumps(dict(zip(CENSUS_FIELDS, rec))) + "\n", rec
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        assert line == want
     classes = Counter(rec[2] for rec in records)
     assert counts == {value: classes[value] for value in outcomes}
     assert list(counts) == outcomes
@@ -377,10 +389,11 @@ class CountingStream:
         return len(text)
 
 
-def test_json_lines_writer_writes_in_bounded_batches():
+@pytest.mark.parametrize("fmt", ("json-lines", "csv"))
+def test_census_writer_writes_in_bounded_batches(fmt):
     # not one write per row, and not one write of the whole census
     stream = CountingStream()
-    counts = _write_census(census_records(12, 5, False, False), stream, "json-lines")
+    counts = _write_census(census_records(12, 5, False, False), stream, fmt)
     rows = sum(counts.values())
     assert rows == 108900
     assert len(stream.writes) <= rows // 256 + 2
