@@ -19,7 +19,7 @@ its zero-dropping accumulate exists once in :func:`add_terms` and once in
 :func:`add_product`, also the inner loop of the Laplace engine in ``ndet``.
 An expansion whose terms are distinct signed rook placements can also be
 held as those placements (``_Placed``), rendered from text templates and
-expanded into a term map only when its terms are read.
+joined into a term map only when its terms are read.
 """
 
 from __future__ import annotations
@@ -264,24 +264,29 @@ class _Placed(HExpansion, value_of=HExpansion):
 
     Every word has one letter per row and no two placements give the same
     word, so each placement is one term with coefficient ±1.  ``bottoms``
-    maps a column set to the placements ``(sign, word)`` of the bottom
-    rows on it, and ``tops`` lists those ``(sign, word, key)`` of the top
+    maps a column set to the placements ``(word, sign)`` of the bottom
+    rows on it, and ``tops`` lists those ``(word, sign, key)`` of the top
     rows, ``key`` the column set they leave to the bottom rows; each in
     render order, so that a top word followed by its bottom words is too.
-    A term's sign is the product of its two.  ``build()`` returns the term
-    map, made on the first read of the terms; the text, ``len`` and
-    ``is_zero`` come from the placements.
+    Words are encoded, and a term's sign is the product of its two.  The
+    term map ``{top + bottom: sign}`` is made on the first read of the
+    terms; the text, ``len`` and ``is_zero`` come from the placements.
     """
 
-    __slots__ = ("_tops", "_bottoms", "_build")
+    __slots__ = ("_tops", "_bottoms")
 
-    def __init__(self, tops, bottoms, build):
-        self._tops, self._bottoms, self._build = tops, bottoms, build
+    def __init__(self, tops, bottoms):
+        self._tops, self._bottoms = tops, bottoms
 
     def __getattr__(self, name):
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._terms = terms = self._build()
+        bottoms = self._bottoms
+        self._terms = terms = {
+            top + bottom: s * t
+            for top, s, key in self._tops
+            for bottom, t in bottoms.get(key, ())
+        }
         return terms
 
     def __len__(self) -> int:
@@ -302,12 +307,15 @@ class _Placed(HExpansion, value_of=HExpansion):
         """
         templates = {}
         for key, placed in self._bottoms.items():
-            terms = [(sign, f"1·H[{_PREFIX}{','.join(map(str, word))}]") for sign, word in placed]
+            terms = [
+                (sign, f"1·H[{_PREFIX}{','.join(map(str, map(ord, word)))}]")
+                for word, sign in placed
+            ]
             templates[key] = tuple(
                 " ".join(("+" if sign == top else "-") + text for sign, text in terms)
                 for top in (1, -1)
             )
-        for sign, word, key in self._tops:
+        for word, sign, key in self._tops:
             pair = templates.get(key)
             if pair is not None:
-                yield pair[sign < 0].replace(_PREFIX, "".join(f"{a}," for a in word))
+                yield pair[sign < 0].replace(_PREFIX, "".join(f"{a}," for a in map(ord, word)))

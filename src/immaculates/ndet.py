@@ -12,17 +12,17 @@ The plain sum over all l! selections, its independent test oracle, lives
 with the other oracles in the test suite.
 
 A zero-free pair, whose matrix has no zero entry (no ``ahat`` value lies
-in ``bhat``) and whose ``bhat`` is distinct, skips the engine: each
+in ``bhat``) and whose ``bhat`` is distinct, is not joined: each
 surviving selection's word has one letter per row, and its k-th letter
 ``ahat_k - bhat_j`` fixes the column ``j`` of row k.  So no two selections
-give the same word and nothing cancels: the expansion is the signed list
-of rook placements on the positive entries, a Ferrers board, and
-``ndet_laplace`` returns those placements, which render without a term map.
+give the same word and nothing cancels: each minor of the engine's two
+half passes is the signed list of its rook placements on the positive
+entries, a Ferrers board, and ``ndet_laplace`` returns the two halves
+unjoined, which render without a term map.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -138,9 +138,9 @@ def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
     skipped; a zero pivot is the unit.  The split is :func:`_determinant`'s.
     A zero-free pair with distinct ``bhat`` (see the module docstring)
     takes no term map: its result holds the rook placements of the top
-    and bottom halves and builds its terms with this engine only when
-    they are read.  A repeated ``bhat`` gives two equal columns, whose
-    words cancel in pairs, so that pair takes the engine.
+    and bottom halves, unjoined, and joins them into a term map only when
+    its terms are read.  A repeated ``bhat`` gives two equal columns, whose
+    words cancel in pairs, so that pair takes the whole determinant.
     """
     _check_cap(m.dim, cap)
     if set(m.ahat).isdisjoint(m.bhat) and len(set(m.bhat)) == m.dim:
@@ -148,54 +148,40 @@ def ndet_laplace(m: SubscriptMatrix, cap=DEFAULT_DIM_CAP) -> HExpansion:
     return HExpansion._of(_expanded(m))
 
 
-def _expanded(m: SubscriptMatrix) -> dict:
-    """The terms of ``m``'s expansion by :func:`_determinant`, over encoded H-words."""
-    cells = [
+def _cells(m: SubscriptMatrix) -> list:
+    """The entries of ``m`` as :func:`_minors` takes them, over encoded H-words."""
+    return [
         [None if e < 0 else {_encoded((e,) if e else ()): 1} for e in row]
         for row in m.entries
     ]
-    return _determinant(cells, "", operator.add)
 
 
-def _placements(ahat, columns) -> list:
-    """The rook placements of rows ``ahat`` on their positive entries, in render order.
-
-    ``columns`` lists the pairs ``(j, bhat_j)`` by falling ``bhat``, so each
-    row meets its letters ``ahat_i - bhat_j`` rising, and the placements
-    come by their words ascending.  Each is ``(cols, word, sign)``: the
-    bitmask of the columns taken, the letters, and the sign of the order
-    the columns are taken in, as a permutation of their sorted set.
-    """
-    placed = [(0, (), 1)]
-    for a in ahat:
-        placed = [
-            (cols | 1 << j, (*word, a - b), -sign if (cols >> j).bit_count() & 1 else sign)
-            for cols, word, sign in placed
-            for j, b in columns
-            if b < a and not cols >> j & 1
-        ]
-    return placed
+def _expanded(m: SubscriptMatrix) -> dict:
+    """The terms of ``m``'s expansion by :func:`_determinant`, over encoded H-words."""
+    return _determinant(_cells(m), "", operator.add)
 
 
 def _placed(m: SubscriptMatrix) -> _Placed:
-    """The expansion of a zero-free pair with distinct ``bhat``, as its rook placements.
+    """The expansion of a zero-free pair with distinct ``bhat``, as its two halves unjoined.
 
-    The top ``h = l // 2`` rows and the bottom rows are placed apart and
-    joined as :func:`_determinant` joins its halves: the sign of a top
-    placement is also multiplied by :func:`_join_sign` of its columns.
+    The minors of the bottom ``l - h`` rows and of the top ``h = l // 2``
+    rows come from :func:`_determinant`'s two passes; each word of a minor
+    is one rook placement on its columns, with its sign.  A top placement
+    on T also takes :func:`_join_sign` of T and is kept with the columns
+    it leaves to the bottom rows; both halves go in render order.
     """
-    l, h = m.dim, m.dim // 2
-    columns = sorted(enumerate(m.bhat), key=operator.itemgetter(1), reverse=True)
-    bottoms: dict[int, list] = {}
-    for cols, word, sign in _placements(m.ahat[h:], columns):
-        bottoms.setdefault(cols, []).append((sign, word))
-    join_sign = _join_sign(l, h)
-    full = (1 << l) - 1
-    tops = [
-        (sign * join_sign(cols), word, full ^ cols)
-        for cols, word, sign in _placements(m.ahat[:h], columns)
-    ]
-    return _Placed(tops, bottoms, functools.partial(_expanded, m))
+    cells, l, h = _cells(m), m.dim, m.dim // 2
+    bottoms = {
+        cols: sorted(minor.items())
+        for cols, minor in _minors(cells[h:], {0: {"": 1}}, operator.add).items()
+    }
+    join_sign, full = _join_sign(l, h), (1 << l) - 1
+    tops = sorted(
+        (word, sign * join_sign(cols), full ^ cols)
+        for cols, minor in _minors(cells[:h], {0: {"": 1}}, operator.add).items()
+        for word, sign in minor.items()
+    )
+    return _Placed(tops, bottoms)
 
 
 def skew_immaculate(alpha, beta, cap=DEFAULT_DIM_CAP) -> HExpansion:

@@ -59,6 +59,10 @@ EXPAND_STDOUT_SHA256 = {
     # dimension 7, seven zero pivots; 144 surviving selections cancel to 96 terms
     ("1,4,4,3,6,6,6", "--skew", "1,3,2,6,1,3,0"):
         "be34620976ad6ab4e7a0371e298754effbf517a4b4911248e4640f45429d67c5",
+    # zero-free with 11 negative entries: 40,320 terms from rook placements,
+    # and 1,470 of the 2,058 top placements head no term
+    ("6,12,6,12,11,7,12,10,10", "--skew", "8,1,7,0,3,6,2,1,6"):
+        "7373b6cd9a50f8d4920ba9772213a4f4df2c317f95207957c3981285c621ce5c",
 }
 
 

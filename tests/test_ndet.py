@@ -12,7 +12,7 @@ from hypothesis import given
 
 from immaculates import ndet
 from immaculates.errors import DimensionCapError
-from immaculates.hwords import HExpansion, _encoded
+from immaculates.hwords import HExpansion, TermMap, _encoded
 from immaculates.matrix import SubscriptMatrix, build_matrix
 from immaculates.ndet import (
     SignedSelection,
@@ -254,8 +254,7 @@ def _refuse(*args):
 
 
 def test_dimension_cap_comes_before_any_work(monkeypatch):
-    monkeypatch.setattr(ndet, "_placements", _refuse)
-    monkeypatch.setattr(ndet, "_determinant", _refuse)
+    monkeypatch.setattr(ndet, "_minors", _refuse)  # both paths build their minors here
     alpha, beta = tuple(range(2, 13)), (1,) * 11  # zero-free, distinct bhat
     with pytest.raises(DimensionCapError):
         skew_immaculate(alpha, beta)
@@ -285,14 +284,15 @@ def test_zero_free_expansion_is_the_engines(pair):
         assert got.coefficient(word) == coeff
 
 
-def test_zero_free_expansion_renders_without_the_engine(monkeypatch):
-    monkeypatch.setattr(ndet, "_determinant", _refuse)
+def test_zero_free_expansion_renders_without_a_term_map():
     expansion = immaculate((9,) * 9)
     assert len(expansion) == math.factorial(9) and not expansion.is_zero()
     text = expansion.render()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bd9d1c66f28826be564dbc0f1183c4102e24d0dd86415b672a76d1ca0c2b16e1"
     )
+    with pytest.raises(AttributeError):
+        TermMap._terms.__get__(expansion)
 
 
 def _split_test_pairs():

@@ -523,13 +523,20 @@ def distinct_equal_hat_pairs(draw):
 
     alpha is a composition and beta a weak composition: a zero part of
     beta at position i is the value -i, which alpha holds further right,
-    so beta's last part is never 0 and only inner zeros occur.
+    so beta's last part is never 0 and only inner zeros occur.  Each hat
+    is drawn among the values that keep its part in range, so no draw is
+    rejected.  Beta's position j always has one: a value below -j came
+    from alpha's position j + 2 or later, and fewer than the n - j + 1
+    values left came from there.
     """
-    values = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6, unique=True))
-    alpha = unhat(draw(st.permutations(values)))
-    beta = unhat(draw(st.permutations(values)))
-    assume(min(alpha) >= 1 and min(beta) >= 0)
-    return alpha, beta
+    ahat = []
+    for i in range(1, draw(st.integers(1, 6)) + 1):
+        ahat.append(draw(st.sampled_from([v for v in range(1 - i, 7) if v not in ahat])))
+    left, bhat = sorted(ahat), []
+    for j in range(1, len(ahat) + 1):
+        bhat.append(draw(st.sampled_from([v for v in left if v >= -j])))
+        left.remove(bhat[-1])
+    return unhat(ahat), unhat(bhat)
 
 
 @given(distinct_equal_hat_pairs())
