@@ -17,9 +17,6 @@ The exact sparse term map under both algebras lives here too: H-expansions
 and the polynomials of ``symfunc`` are :class:`TermMap` subclasses, and
 its zero-dropping accumulate exists once in :func:`add_terms` and once in
 :func:`add_product`, also the inner loop of the Laplace engine in ``ndet``.
-An expansion whose terms are distinct signed rook placements can also be
-held as those placements (``_Placed``), rendered from text templates and
-joined into a term map only when its terms are read.
 """
 
 from __future__ import annotations
@@ -117,7 +114,7 @@ class TermMap:
         return iter(self._terms.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -254,68 +251,3 @@ class HExpansion(TermMap):
                 parts[-1] = parts[-1][:-1]  # render puts the space between chunks
                 yield "".join(parts)
 
-
-# Where a template takes the prefix of a top placement; no rendered term holds it.
-_PREFIX = "\0"
-
-
-class _Placed(HExpansion, value_of=HExpansion):
-    """An H-expansion held as its signed rook placements, split into top and bottom rows.
-
-    Every word has one letter per row and no two placements give the same
-    word, so each placement is one term with coefficient ±1.  ``bottoms``
-    maps a column set to the placements ``(word, sign)`` of the bottom
-    rows on it, and ``tops`` lists those ``(word, sign, key)`` of the top
-    rows, ``key`` the column set they leave to the bottom rows; each in
-    render order, so that a top word followed by its bottom words is too.
-    Words are encoded, and a term's sign is the product of its two.  The
-    term map ``{top + bottom: sign}`` is made on the first read of the
-    terms; the text, ``len`` and ``is_zero`` come from the placements.
-    """
-
-    __slots__ = ("_tops", "_bottoms")
-
-    def __init__(self, tops, bottoms):
-        self._tops, self._bottoms = tops, bottoms
-
-    def __getattr__(self, name):
-        if name != "_terms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        bottoms = self._bottoms
-        self._terms = terms = {
-            top + bottom: s * t
-            for top, s, key in self._tops
-            for bottom, t in bottoms.get(key, ())
-        }
-        return terms
-
-    def __len__(self) -> int:
-        bottoms = self._bottoms
-        return sum(len(bottoms.get(key, ())) for _, _, key in self._tops)
-
-    def is_zero(self) -> bool:
-        return not len(self)
-
-    def _rendered_chunks(self):
-        """Yield, per top placement, the terms it heads, space-joined.
-
-        Each column set of the bottom rows gets its terms as one template,
-        with ``_PREFIX`` where the top word goes, and the same with every
-        sign flipped; a top placement's chunk is one ``str.replace`` on the
-        template its sign picks.  A top placement whose columns leave no
-        bottom placement heads no term and yields no chunk.
-        """
-        templates = {}
-        for key, placed in self._bottoms.items():
-            terms = [
-                (sign, f"1·H[{_PREFIX}{','.join(map(str, map(ord, word)))}]")
-                for word, sign in placed
-            ]
-            templates[key] = tuple(
-                " ".join(("+" if sign == top else "-") + text for sign, text in terms)
-                for top in (1, -1)
-            )
-        for word, sign, key in self._tops:
-            pair = templates.get(key)
-            if pair is not None:
-                yield pair[sign < 0].replace(_PREFIX, "".join(f"{a}," for a in map(ord, word)))

@@ -272,16 +272,30 @@ def test_zero_free_expansion_is_the_engines(pair):
     m = build_matrix(*pair)
     got = ndet_laplace(m)
     engine = HExpansion._of(ndet._expanded(m))
-    assert got.render() == ndet_permutation_sum(m).render()
-    assert isinstance(got, HExpansion) and repr(got) == repr(engine)
-    # the count comes from the placements, before any term is built
+    oracle = ndet_permutation_sum(m)
+    # operator.eq, not ==: pytest would diff two long unequal texts, for
+    # every failing example Hypothesis tries while it shrinks
+    assert operator.eq(got.render(), oracle.render())
+    assert isinstance(got, HExpansion) and operator.eq(repr(got), repr(engine))
+    # the count comes from the minors, before any term is built
     assert len(got) == _ferrers_rook_count(m) == len(engine)
     assert got.is_zero() == engine.is_zero() == (got.render() == "0")
-    assert got == engine and engine == got and hash(got) == hash(engine)
+    # the engine's terms come from the same join as got's; the oracle's do not
+    for other in (engine, oracle):
+        assert got == other and other == got and hash(got) == hash(other)
+        assert dict(got.items()) == dict(other.items())
     assert got != HExpansion({(1,) * (m.dim + 1): 1}) and got != engine.render()
-    assert dict(got.items()) == dict(engine.items())
-    for word, coeff in engine.items():
+    for word, coeff in oracle.items():
         assert got.coefficient(word) == coeff
+
+
+def test_zero_free_expansion_renders_after_its_terms_are_read():
+    # the term map is joined from copies of the minors, so they stay whole
+    expansion = immaculate((5,) * 5)
+    assert isinstance(expansion, ndet._Placed)
+    terms = dict(expansion.items())
+    assert len(terms) == math.factorial(5) == len(expansion)
+    assert operator.eq(expansion.render(), HExpansion(terms).render())
 
 
 def test_zero_free_expansion_renders_without_a_term_map():
